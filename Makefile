@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fast test race race-short bench bench-full bench-wire bench-scale bench-cluster bench-interference fuzz-wire e2e e2e-cluster trace-e2e quick tidy clean
+.PHONY: all build vet lint lint-fast test race race-short bench bench-full bench-wire bench-scale bench-cluster bench-interference bench-repo fuzz-wire e2e e2e-cluster trace-e2e quick tidy clean
 
 all: vet lint build test
 
@@ -49,10 +49,14 @@ bench-wire:
 
 # Fan-in scaling smoke (experiment E19): cache-hit read throughput at
 # 1/4/16 client connections, plus the parallel allocator and read-hit
-# differential benchmarks the sharded hot-path work is gated on.
+# differential benchmarks the sharded hot-path work is gated on, and the
+# control path's scaling in live objects (gmalloc+gfree and address
+# resolution at 1k/8k/64k objects must cost the same; parent and change
+# runs are recorded in results/e19.objindex.txt).
 bench-scale:
 	$(GO) test ./internal/tcpnet -run=^$$ -bench=BenchmarkTCPFanIn -short -benchtime=500x
 	$(GO) test ./internal/engine -run=^$$ -bench=BenchmarkReadHitParallel -benchtime=1000x -cpu=1,4
+	$(GO) test ./internal/engine -run=^$$ -bench='BenchmarkMallocFree|BenchmarkFindContaining' -benchmem -benchtime=20000x
 	$(GO) test ./internal/alloc -run=^$$ -bench='BenchmarkBuddyParallel|BenchmarkShardedPoolParallel' -benchtime=1000x -cpu=1,4
 
 # Distributed-cache scaling smoke (experiment E20): the DRAM-served
@@ -67,6 +71,13 @@ bench-cluster:
 # plus the telemetry snapshot via `gengar-bench -exp E21 -outdir results`.
 bench-interference:
 	$(GO) run ./cmd/gengar-bench -exp E21 -quick
+
+# The repository benchmark (BENCHMARK.json, benchmark/README.md) at smoke
+# scale: every workload with 2 s windows, every metric printed, every
+# read verified, no bounds enforced. Its own unit tests are a nested module outside
+# `go test ./...`; run them with `go -C benchmark test -short ./...`.
+bench-repo:
+	bash benchmark/run.sh -smoke
 
 # Short coverage-guided pass over the frame reader's fuzz target; the
 # checked-in corpus under internal/tcpnet/testdata/fuzz always runs as

@@ -36,6 +36,11 @@ func main() {
 	}
 }
 
+// maxDigestEvery bounds -digest-every: each session stages that many
+// 16-byte observations between digests, so a larger interval only grows
+// per-connection memory while the planner hears nothing.
+const maxDigestEvery = 1 << 20
+
 func run() error {
 	var (
 		id          = flag.Uint("id", 1, "server ID (nonzero; high 16 bits of homed addresses)")
@@ -60,6 +65,9 @@ func run() error {
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof on the debug address")
 	)
 	flag.Parse()
+	if *digestEvery <= 0 || *digestEvery > maxDigestEvery {
+		return fmt.Errorf("-digest-every %d: want 1..%d", *digestEvery, maxDigestEvery)
+	}
 
 	srv, err := tcpnet.NewPoolServer(tcpnet.ServerConfig{
 		ID:             uint16(*id),

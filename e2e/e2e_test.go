@@ -124,6 +124,14 @@ func TestGengardEndToEnd(t *testing.T) {
 	gengard, cli := buildBinaries(t, dir)
 	snap := filepath.Join(dir, "pool.snap")
 	addr := freePort(t)
+	// A digest interval that is not a sane positive count is refused at
+	// flag parse, before the daemon sizes anything by it.
+	for _, bad := range []string{"0", "-3", "1073741824"} {
+		out, err := exec.Command(gengard, "-listen", addr, "-digest-every", bad).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "-digest-every "+bad) {
+			t.Fatalf("gengard -digest-every %s: err=%v\n%s", bad, err, out)
+		}
+	}
 	d := startDaemon(t, gengard, addr, "-data", snap, "-digest-every", "4")
 
 	// malloc/write/read through the CLI.

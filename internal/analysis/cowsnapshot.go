@@ -11,8 +11,7 @@ import (
 //	//gengar:guardedby <mu>
 //
 // whose type is atomic.Pointer[...] (cache.RemapTable.p,
-// engine.objIndex.p, alloc.ShardedPool.slabIndex). The contract has two
-// sides:
+// alloc.ShardedPool.slabIndex). The contract has two sides:
 //
 //   - Publication: Store/Swap on the field is legal only while the
 //     declared sibling writer mutex of the SAME receiver is held (or on

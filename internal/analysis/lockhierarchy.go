@@ -44,7 +44,6 @@ var defaultLockOrder = []string{
 	"engine.Engine.mu",
 	"lock.LeaseTable.mu",
 	"cache.RemapTable.mu",
-	"engine.objIndex.mu",
 	// Hosted-copy table: short bookkeeping sections only; arena and
 	// copy I/O run outside its critical sections.
 	"engine.hostedTable.mu",

@@ -31,7 +31,11 @@ var raceExcludeAllowlist = map[string]raceSibling{
 	},
 	"internal/tcpnet/wire_alloc_test.go": {
 		file:    "internal/tcpnet/wire_path_test.go",
-		symbols: []string{"Read", "ReadMulti", "WriteMulti"},
+		symbols: []string{"Read", "ReadMulti", "WriteMulti", "enqueue"},
+	},
+	"internal/engine/malloc_alloc_test.go": {
+		file:    "internal/engine/objindex_test.go",
+		symbols: []string{"Malloc", "Free"},
 	},
 	"internal/proxy/flush_alloc_test.go": {
 		file:    "internal/proxy/coalesce_test.go",

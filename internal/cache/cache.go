@@ -181,7 +181,14 @@ func (t *RemapTable) Apply(add map[region.GAddr]Location, remove []region.GAddr)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	old := t.p.Load()
-	next := &remapState{epoch: old.epoch, m: make(map[region.GAddr]Location, len(old.m)+len(add))}
+	changed := len(add) > 0
+	for i := 0; !changed && i < len(remove); i++ {
+		_, changed = old.m[remove[i]]
+	}
+	if !changed {
+		return nil // a free or demotion of an unpromoted object: no new version to clone
+	}
+	next := &remapState{epoch: old.epoch + 1, m: make(map[region.GAddr]Location, len(old.m)+len(add))}
 	for a, l := range old.m {
 		next.m[a] = l
 	}
@@ -195,10 +202,7 @@ func (t *RemapTable) Apply(add map[region.GAddr]Location, remove []region.GAddr)
 	for a, loc := range add {
 		next.m[a] = loc
 	}
-	if len(add) > 0 || len(released) > 0 {
-		next.epoch++
-		t.p.Store(next)
-	}
+	t.p.Store(next)
 	return released
 }
 

@@ -118,18 +118,26 @@ func TestRemapTableEpochs(t *testing.T) {
 	if _, ok := rt.Lookup(ga(128)); ok {
 		t.Fatal("phantom lookup")
 	}
-	// Empty apply does not bump the epoch.
-	rt.Apply(nil, nil)
-	if rt.Epoch() != 1 {
-		t.Fatal("no-op apply bumped epoch")
+	// Empty apply does not bump the epoch, and publishes no new version:
+	// the snapshot readers follow stays the very same one.
+	before := rt.p.Load()
+	if released := rt.Apply(nil, nil); released != nil || rt.Epoch() != 1 || rt.p.Load() != before {
+		t.Fatal("no-op apply bumped epoch or republished")
 	}
-	// Removing a non-promoted address is a no-op.
-	rt.Apply(nil, []region.GAddr{ga(999)})
-	if rt.Epoch() != 1 {
-		t.Fatal("no-op removal bumped epoch")
+	// Removing a non-promoted address is a no-op too (every free and
+	// demotion of an unpromoted object takes this path).
+	if released := rt.Apply(nil, []region.GAddr{ga(999), ga(128)}); released != nil || rt.Epoch() != 1 || rt.p.Load() != before {
+		t.Fatal("no-op removal bumped epoch or republished")
 	}
-	released = rt.Apply(nil, []region.GAddr{ga(64)})
-	if len(released) != 1 || released[0] != loc || rt.Epoch() != 2 || rt.Len() != 0 {
+	// A batch that adds, removes a promoted entry, names it twice and names
+	// an unpromoted one is one change: one epoch, one release.
+	loc2 := Location{Node: "s1", RKey: 1, Off: 64, Size: 64}
+	released = rt.Apply(map[region.GAddr]Location{ga(256): loc2}, []region.GAddr{ga(999), ga(64), ga(64)})
+	if len(released) != 1 || released[0] != loc || rt.Epoch() != 2 || rt.Len() != 1 || rt.p.Load() == before {
+		t.Fatalf("swap: released=%v epoch=%d len=%d", released, rt.Epoch(), rt.Len())
+	}
+	released = rt.Apply(nil, []region.GAddr{ga(256)})
+	if len(released) != 1 || released[0] != loc2 || rt.Epoch() != 3 || rt.Len() != 0 {
 		t.Fatalf("demote: released=%v epoch=%d", released, rt.Epoch())
 	}
 }

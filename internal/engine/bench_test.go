@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -66,4 +67,101 @@ func BenchmarkReadHitParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// liveSizes are the live-object counts the control-path benchmarks run
+// at: gmalloc/gfree and address resolution must cost the same whether
+// the server holds a thousand objects or sixty-four thousand.
+var liveSizes = []int{1 << 10, 8 << 10, 64 << 10}
+
+// newLiveEngine builds an engine over a 256 MiB pool (gengard's default)
+// holding live 1 KiB objects, none promoted.
+func newLiveEngine(tb testing.TB, live int) (*Engine, []region.GAddr) {
+	tb.Helper()
+	cfg := config.Default()
+	cfg.Servers = 1
+	cfg.NVMBytes = 256 << 20
+	eng, err := New(Config{ID: 1, Name: "eng-live", Cluster: cfg})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(eng.Close)
+	addrs := make([]region.GAddr, live)
+	for i := range addrs {
+		if addrs[i], err = eng.Malloc(1024); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return eng, addrs
+}
+
+// mallocFree runs n Malloc+Free pairs of a 1 KiB object.
+func mallocFree(tb testing.TB, eng *Engine, n int) {
+	for i := 0; i < n; i++ {
+		a, err := eng.Malloc(1024)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := eng.Free(a); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMallocFree measures one gmalloc+gfree pair against a server
+// already holding live objects.
+func BenchmarkMallocFree(b *testing.B) {
+	for _, live := range liveSizes {
+		b.Run(fmt.Sprintf("live=%dk", live>>10), func(b *testing.B) {
+			eng, _ := newLiveEngine(b, live)
+			b.ReportAllocs()
+			b.ResetTimer()
+			mallocFree(b, eng, b.N)
+		})
+	}
+}
+
+// BenchmarkFindContaining measures resolving an interior address to its
+// object — the lookup every mediated read, write and digest entry makes.
+func BenchmarkFindContaining(b *testing.B) {
+	for _, live := range liveSizes {
+		b.Run(fmt.Sprintf("live=%dk", live>>10), func(b *testing.B) {
+			eng, addrs := newLiveEngine(b, live)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// A stride coprime to the count walks the whole set, so
+				// the lookups do not all sit in one cache line.
+				a := addrs[i*7919%len(addrs)]
+				if base, _, ok := eng.ObjectSpan(a.Add(512), 64); !ok || base != a {
+					b.Fatalf("ObjectSpan(%v) = %v,%v", a, base, ok)
+				}
+			}
+		})
+	}
+}
+
+// TestMallocFreeFlatInLiveObjects is the scaling gate: Malloc+Free with
+// 64k live objects must cost within 3x of the same pair with 1k (the
+// copy-on-write index it replaced was 122x, results/e19.objindex.txt).
+// Best of five short rounds per size, so one scheduling hiccup does not
+// decide it.
+func TestMallocFreeFlatInLiveObjects(t *testing.T) {
+	cost := func(live int) time.Duration {
+		eng, _ := newLiveEngine(t, live)
+		const pairs = 2000
+		mallocFree(t, eng, pairs) // settle slab and chunk allocation
+		best := time.Duration(1<<63 - 1)
+		for round := 0; round < 5; round++ {
+			start := time.Now()
+			mallocFree(t, eng, pairs)
+			best = min(best, time.Since(start))
+		}
+		return best / pairs
+	}
+	small, large := cost(liveSizes[0]), cost(liveSizes[len(liveSizes)-1])
+	t.Logf("Malloc+Free: %v at live=1k, %v at live=64k", small, large)
+	if large > 3*small {
+		t.Fatalf("Malloc+Free costs %v with 64k live objects, %v with 1k: more than 3x", large, small)
+	}
 }

@@ -166,7 +166,7 @@ func New(ec Config) (*Engine, error) {
 		cacheDev: cacheDev,
 		ringDev:  ringDev,
 		lockDev:  lockDev,
-		objIdx:   newObjIndex(),
+		objIdx:   newObjIndex(ec.ID, cfg.NVMBytes),
 		remap:    cache.NewRemapTable(),
 		sketch:   hotness.NewSpaceSaving(cfg.Hotness.SketchK),
 		policy: hotness.Policy{
@@ -330,7 +330,9 @@ func (e *Engine) AdoptObject(off, size int64) error {
 	if err != nil {
 		return err
 	}
-	e.objIdx.insert(addr, size)
+	if !e.objIdx.insert(addr, size) {
+		return fmt.Errorf("engine: adopt [%d,+%d): not a free aligned power-of-two block", off, size)
+	}
 	return nil
 }
 

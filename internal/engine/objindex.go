@@ -1,116 +1,163 @@
 package engine
 
 import (
-	"sort"
-	"sync"
+	"math/bits"
 	"sync/atomic"
 
+	"gengar/internal/alloc"
 	"gengar/internal/region"
 )
 
-// objIndex tracks live objects on one home server: base address and
-// rounded size, ordered for containment queries. The engine uses it to
+// objIndex tracks live objects on one home server. The engine uses it to
 // resolve raw verb target addresses (as reported in hotness digests, or
 // seen by the proxy flusher) to the containing object, and to size
 // promotion candidates.
 //
-// Lookups run on every mediated read, so readers follow an atomically-
-// swapped immutable snapshot and take no locks; insert/remove (malloc/
-// free — rare next to reads) clone under a writer mutex before
-// publishing.
+// Every object is a buddy block: 2^o bytes, aligned to 2^o, disjoint from
+// every other live block. So the index is a block-start table — one
+// order tag per MinBlock granule, nonzero exactly at live block starts —
+// and the block containing off, if any, starts at off rounded down to
+// 2^o for its own order o: findContaining probes that ladder of at most
+// maxOrder-5 tags and matches tag == o. insert, remove and every lookup
+// are atomic word operations on the tags: no lock, no copy, and nothing
+// allocated except a 4 KiB chunk the first time a 256 KiB stretch of the
+// arena is used.
 type objIndex struct {
-	mu sync.Mutex // serializes writers
-	//gengar:guardedby mu
-	p atomic.Pointer[objState]
+	server   uint16
+	arena    int64
+	maxOrder uint
+	chunks   []atomic.Pointer[tagChunk]
+	live     atomic.Int64
 }
 
-// objState is one immutable index version; neither field is mutated
-// after publication.
-type objState struct {
-	sizes map[region.GAddr]int64
-	bases []region.GAddr // sorted
-}
+const (
+	granuleShift = 6 // log2(alloc.MinBlock)
+	tagBits      = 8 // orders fit a byte; 0 means "no block starts here"
+	tagMask      = 1<<tagBits - 1
+	wordTags     = 8   // tags packed per atomic word
+	chunkWords   = 512 // words per lazily allocated chunk
+	chunkTags    = chunkWords * wordTags
+)
 
-func newObjIndex() *objIndex {
-	x := &objIndex{}
-	x.p.Store(&objState{sizes: make(map[region.GAddr]int64)})
-	return x
-}
+type tagChunk [chunkWords]atomic.Uint64
 
-// clone returns a mutable copy of the current state; the caller holds
-// x.mu and publishes the copy when done.
-func (s *objState) clone(extra int) *objState {
-	next := &objState{
-		sizes: make(map[region.GAddr]int64, len(s.sizes)+extra),
-		bases: make([]region.GAddr, len(s.bases), len(s.bases)+extra),
+func newObjIndex(server uint16, arena int64) *objIndex {
+	granules := (arena + alloc.MinBlock - 1) >> granuleShift
+	return &objIndex{
+		server:   server,
+		arena:    arena,
+		maxOrder: uint(bits.Len64(uint64(arena)) - 1),
+		chunks:   make([]atomic.Pointer[tagChunk], (granules+chunkTags-1)/chunkTags),
 	}
-	for a, sz := range s.sizes {
-		next.sizes[a] = sz
-	}
-	copy(next.bases, s.bases)
-	return next
 }
 
-// insert registers a new object. Bases are unique (allocator-provided).
-func (x *objIndex) insert(base region.GAddr, size int64) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	old := x.p.Load()
-	if _, dup := old.sizes[base]; dup {
-		return
+// word returns the word holding the tag of the granule at off and the
+// tag's shift within it, or nil when that chunk was never touched and
+// grow is false. off must lie inside the arena.
+func (x *objIndex) word(off int64, grow bool) (*atomic.Uint64, uint) {
+	g := off >> granuleShift
+	slot := &x.chunks[g/chunkTags]
+	c := slot.Load()
+	if c == nil {
+		if !grow {
+			return nil, 0
+		}
+		c = new(tagChunk)
+		if !slot.CompareAndSwap(nil, c) {
+			c = slot.Load()
+		}
 	}
-	next := old.clone(1)
-	next.sizes[base] = size
-	i := sort.Search(len(next.bases), func(i int) bool { return next.bases[i] >= base })
-	next.bases = append(next.bases, 0)
-	copy(next.bases[i+1:], next.bases[i:])
-	next.bases[i] = base
-	x.p.Store(next)
+	return &c[g%chunkTags/wordTags], uint(g%wordTags) * tagBits
+}
+
+// tag returns the order of the block starting at off, or 0.
+func (x *objIndex) tag(off int64) uint {
+	w, sh := x.word(off, false)
+	if w == nil {
+		return 0
+	}
+	return uint(w.Load() >> sh & tagMask)
+}
+
+// setTag moves the tag at off from zero to order, or (order 0) from
+// nonzero to zero; it reports whether the tag was in the expected state.
+func (x *objIndex) setTag(off int64, order uint) bool {
+	w, sh := x.word(off, order != 0)
+	if w == nil {
+		return false
+	}
+	for {
+		old := w.Load()
+		if (old>>sh&tagMask != 0) == (order != 0) {
+			return false
+		}
+		if w.CompareAndSwap(old, old&^(tagMask<<sh)|uint64(order)<<sh) {
+			return true
+		}
+	}
+}
+
+// insert registers the block [base, base+size). It reports false, and
+// changes nothing, for a duplicate base or for anything that is not a
+// naturally aligned power-of-two block of this server's arena.
+func (x *objIndex) insert(base region.GAddr, size int64) bool {
+	off := base.Offset()
+	order := uint(bits.Len64(uint64(size)) - 1)
+	if base.Server() != x.server || size < alloc.MinBlock || size != 1<<order ||
+		off&(size-1) != 0 || off+size > x.arena || !x.setTag(off, order) {
+		return false
+	}
+	x.live.Add(1)
+	return true
 }
 
 // remove drops an object; it reports whether the object existed.
 func (x *objIndex) remove(base region.GAddr) bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	old := x.p.Load()
-	if _, ok := old.sizes[base]; !ok {
+	if base.Server() != x.server || base.Offset() >= x.arena || !x.setTag(base.Offset(), 0) {
 		return false
 	}
-	next := old.clone(0)
-	delete(next.sizes, base)
-	i := sort.Search(len(next.bases), func(i int) bool { return next.bases[i] >= base })
-	next.bases = append(next.bases[:i], next.bases[i+1:]...)
-	x.p.Store(next)
+	x.live.Add(-1)
 	return true
 }
 
 // sizeOf returns the object's rounded size, or 0 if unknown.
 func (x *objIndex) sizeOf(base region.GAddr) int64 {
-	return x.p.Load().sizes[base]
+	if base.Server() != x.server || base.Offset() >= x.arena {
+		return 0
+	}
+	if o := x.tag(base.Offset()); o != 0 {
+		return 1 << o
+	}
+	return 0
 }
 
 // findContaining resolves a byte range to its containing object. It
-// takes no locks.
+// takes no locks. A lookup that races a free and a malloc over the same
+// bytes may miss (it probed each start while no block was there), but a
+// hit is always a block that was live and contained addr when its tag
+// was loaded, and an object that stays live is never missed: no other
+// block can start inside it, so the ladder reaches its tag.
 //
 //gengar:hotpath
 func (x *objIndex) findContaining(addr region.GAddr, size int64) (base region.GAddr, objSize int64, ok bool) {
-	s := x.p.Load()
-	if len(s.bases) == 0 {
+	off := addr.Offset()
+	if addr.Server() != x.server || size < 0 || off >= x.arena {
 		return region.NilGAddr, 0, false
 	}
-	i := sort.Search(len(s.bases), func(i int) bool { return s.bases[i] > addr }) - 1
-	if i < 0 {
-		return region.NilGAddr, 0, false
+	for o := uint(granuleShift); o <= x.maxOrder; o++ {
+		start := off &^ (1<<o - 1)
+		if x.tag(start) != o {
+			continue
+		}
+		if size > start+1<<o-off {
+			break // the one block holding addr does not hold the whole range
+		}
+		return addr.Add(start - off), 1 << o, true
 	}
-	b := s.bases[i]
-	sz := s.sizes[b]
-	if !(region.Span{Addr: b, Size: sz}).Contains(addr, size) {
-		return region.NilGAddr, 0, false
-	}
-	return b, sz, true
+	return region.NilGAddr, 0, false
 }
 
 // count returns the number of live objects.
 func (x *objIndex) count() int {
-	return len(x.p.Load().sizes)
+	return int(x.live.Load())
 }

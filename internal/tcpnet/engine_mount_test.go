@@ -538,6 +538,29 @@ func TestSnapshotForwardCompat(t *testing.T) {
 		t.Fatalf("overlapping snapshot: %v", err)
 	}
 
+	// Records that are not naturally aligned power-of-two blocks inside
+	// the pool — what the allocator and the object index both assume —
+	// are rejected up front too, including an end that overflows int64.
+	for _, bad := range [][2]uint64{
+		{1024, 100},             // size not a power of two
+		{1024 + 64, 256},        // start not aligned to the size
+		{1 << 15, 1 << 16},      // ends past the pool
+		{1 << 62, 1 << 62},      // off+size overflows
+		{1024, 1<<64 - 1024},    // negative size
+		{1<<64 - 1024, 1 << 10}, // negative offset
+	} {
+		shaped := rewriteSnapshot(t, path, func(body []byte) {
+			recs := body[len(snapshotMagic)+4+2+8+4:]
+			for ; binary.BigEndian.Uint64(recs) == 0; recs = recs[16:] {
+			}
+			binary.BigEndian.PutUint64(recs, bad[0])
+			binary.BigEndian.PutUint64(recs[8:], bad[1])
+		})
+		if err := srv2.RestoreSnapshot(shaped); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("snapshot with record [%d,+%d): %v", bad[0], bad[1], err)
+		}
+	}
+
 	// No partial restore: every rejected snapshot left the engine
 	// untouched, so a valid restore still starts from a clean slate.
 	if got := srv2.eng.Stats().Objects; got != baseObjects {
@@ -618,5 +641,140 @@ func TestSnapshotRestoreThenMallocReusesFreedRange(t *testing.T) {
 	}
 	if got != victim {
 		t.Fatalf("freed range not reused: freed %v, malloc returned %v", victim, got)
+	}
+}
+
+// TestSnapshotRoundtripManyObjects restores a pool of more than 50 000
+// live objects: validation is one sort and the object index adopts each
+// block in constant time, so the restore takes a fraction of a second
+// where per-object index clones and a pairwise overlap check took
+// minutes, and the restored engine resolves addresses exactly as the
+// original did.
+func TestSnapshotRoundtripManyObjects(t *testing.T) {
+	path := t.TempDir() + "/pool.snap"
+	cfg := ServerConfig{ID: 2, PoolBytes: 8 << 20}
+	srv, err := NewPoolServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []region.GAddr
+	for i := 0; i < 60000; i++ {
+		size := int64(64)
+		if i%1000 == 999 {
+			size = 4096
+		}
+		a, err := srv.eng.Malloc(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%7 == 3 { // leave holes, so the inventory is not one dense run
+			if err := srv.eng.Free(a); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		var stamp [8]byte
+		binary.BigEndian.PutUint64(stamp[:], uint64(a))
+		if err := srv.eng.NVM().WriteRaw(a.Offset(), stamp[:]); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, a)
+	}
+	if len(live) < 50000 {
+		t.Fatalf("only %d live objects", len(live))
+	}
+	srv.Close()
+	if err := srv.WriteSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, err := NewPoolServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	start := time.Now()
+	if err := srv2.RestoreSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+	t.Logf("restored %d objects in %v", len(live), took)
+	if took > time.Second {
+		t.Errorf("restore of %d objects took %v, want well under a second", len(live), took)
+	}
+
+	if got, want := srv2.eng.Stats().Objects, srv.eng.Stats().Objects; got != want || want != len(live) {
+		t.Fatalf("objects: restored %d, original %d, live %d", got, want, len(live))
+	}
+	if got, want := srv2.eng.Pool().AllocatedBytes(), srv.eng.Pool().AllocatedBytes(); got != want {
+		t.Fatalf("allocated bytes: restored %d, original %d", got, want)
+	}
+	var stamp [8]byte
+	for i, a := range live {
+		probe := a.Add(int64(i % 64))
+		b1, s1, ok1 := srv.eng.ObjectSpan(probe, 1)
+		b2, s2, ok2 := srv2.eng.ObjectSpan(probe, 1)
+		if !ok1 || b1 != a || b2 != b1 || s2 != s1 || ok2 != ok1 {
+			t.Fatalf("ObjectSpan(%v): original %v,%d,%v restored %v,%d,%v", probe, b1, s1, ok1, b2, s2, ok2)
+		}
+		if i%97 != 0 {
+			continue
+		}
+		if err := srv2.eng.NVM().ReadRaw(a.Offset(), stamp[:]); err != nil {
+			t.Fatal(err)
+		}
+		if got := region.GAddr(binary.BigEndian.Uint64(stamp[:])); got != a {
+			t.Fatalf("object %v carries stamp %v after restore", a, got)
+		}
+	}
+	// A freed hole stays a hole on both sides.
+	for off := int64(64); off < cfg.PoolBytes; off += 4096 + 64 {
+		probe := region.MustGAddr(cfg.ID, off)
+		_, _, ok1 := srv.eng.ObjectSpan(probe, 1)
+		_, _, ok2 := srv2.eng.ObjectSpan(probe, 1)
+		if ok1 != ok2 {
+			t.Fatalf("ObjectSpan(%v): original live=%v restored live=%v", probe, ok1, ok2)
+		}
+	}
+}
+
+// TestHugeDigestIntervalBoundedSession opens a session on a daemon whose
+// digest interval means "never" (1<<30, as TestClientDigestDrivesPromotion
+// configures it): the staging buffer is sized by a fixed chunk, not the
+// interval — 16 GiB per connection otherwise — and grows by append when
+// a session does stage more than a chunk. The default interval keeps its
+// exact capacity.
+func TestHugeDigestIntervalBoundedSession(t *testing.T) {
+	for _, c := range []struct{ every, wantCap int }{
+		{0, 64}, // the default
+		{8, 8},
+		{1 << 30, maxStagingChunk},
+	} {
+		srv, err := NewPoolServer(ServerConfig{ID: 1, PoolBytes: 1 << 20, DigestEvery: c.every})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := srv.openSession()
+		if got := cap(sess.staged); got != c.wantCap {
+			t.Errorf("DigestEvery=%d: staging capacity %d, want %d", c.every, got, c.wantCap)
+		}
+		if c.every == 1<<30 {
+			a, err := srv.eng.Malloc(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2*maxStagingChunk; i++ {
+				sess.observe(a, false)
+			}
+			if len(sess.staged) != 2*maxStagingChunk || srv.eng.Stats().Digests != 0 {
+				t.Errorf("staged %d observations, %d digests; want %d and none",
+					len(sess.staged), srv.eng.Stats().Digests, 2*maxStagingChunk)
+			}
+		}
+		sess.close()
+		srv.Close()
+	}
+	if _, err := NewPoolServer(ServerConfig{ID: 1, PoolBytes: 1 << 20, DigestEvery: -1}); err == nil {
+		t.Error("negative DigestEvery accepted")
 	}
 }

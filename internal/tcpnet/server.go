@@ -93,6 +93,9 @@ func (c *ServerConfig) fill() error {
 	if c.LockSlots == 0 {
 		c.LockSlots = 1 << 14
 	}
+	if c.DigestEvery < 0 {
+		return fmt.Errorf("tcpnet: digest interval %d is negative", c.DigestEvery)
+	}
 	if c.DigestEvery == 0 {
 		c.DigestEvery = 64
 	}
@@ -391,8 +394,17 @@ type session struct {
 	staged   []hotness.Obs
 }
 
+// maxStagingChunk caps the staging buffer a session allocates up front:
+// DigestEvery is a flush interval and may be huge ("never digest"); the
+// buffer grows by append if a session really stages more than this.
+const maxStagingChunk = 4096
+
+func newStaging(digestEvery int) []hotness.Obs {
+	return make([]hotness.Obs, 0, min(digestEvery, maxStagingChunk))
+}
+
 func (s *PoolServer) openSession() *session {
-	sess := &session{id: s.sessions.Add(1), srv: s, staged: make([]hotness.Obs, 0, s.cfg.DigestEvery)}
+	sess := &session{id: s.sessions.Add(1), srv: s, staged: newStaging(s.cfg.DigestEvery)}
 	if !s.eng.Features().Proxy {
 		return sess
 	}
@@ -440,7 +452,7 @@ func (sess *session) observe(addr region.GAddr, write bool) {
 		return
 	}
 	batch := sess.staged
-	sess.staged = make([]hotness.Obs, 0, sess.srv.cfg.DigestEvery)
+	sess.staged = newStaging(sess.srv.cfg.DigestEvery)
 	sess.stagedMu.Unlock()
 	// Aggregation and the digest run outside the staging lock, so a
 	// concurrent op only ever waits on the append above.

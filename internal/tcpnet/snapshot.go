@@ -8,6 +8,9 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sort"
+
+	"gengar/internal/alloc"
 )
 
 // Pool snapshots: gengard persists its exported memory and allocation
@@ -162,16 +165,22 @@ func (s *PoolServer) RestoreSnapshot(path string) error {
 		if off == 0 {
 			continue // the reserved nil-address guard block is re-made by the engine
 		}
-		if off < 0 || size <= 0 || off+size > poolBytes {
+		if off < 0 || size <= 0 || size > poolBytes || off > poolBytes-size {
 			return fmt.Errorf("%w: allocation [%d,+%d) out of pool", ErrBadSnapshot, off, size)
 		}
-		for _, prev := range recs {
-			if off < prev.off+prev.size && prev.off < off+size {
-				return fmt.Errorf("%w: allocations [%d,+%d) and [%d,+%d) overlap",
-					ErrBadSnapshot, prev.off, prev.size, off, size)
-			}
+		if size != alloc.BlockSize(size) || off&(size-1) != 0 {
+			return fmt.Errorf("%w: allocation [%d,+%d) is not an aligned power-of-two block", ErrBadSnapshot, off, size)
 		}
 		recs = append(recs, allocRec{off, size})
+	}
+	// WriteSnapshot emits records in offset order; sorting makes the
+	// overlap check one pass over neighbours whatever order they arrive in.
+	sort.Slice(recs, func(i, j int) bool { return recs[i].off < recs[j].off })
+	for i := 1; i < len(recs); i++ {
+		if prev, a := recs[i-1], recs[i]; a.off < prev.off+prev.size {
+			return fmt.Errorf("%w: allocations [%d,+%d) and [%d,+%d) overlap",
+				ErrBadSnapshot, prev.off, prev.size, a.off, a.size)
+		}
 	}
 	pool := s.eng.Pool()
 	for _, a := range recs {

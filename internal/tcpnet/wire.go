@@ -431,6 +431,10 @@ type frameQueue struct {
 	done   chan struct{}
 
 	vecs net.Buffers // writev scratch, reused across flushes
+	// sendv is the header WriteTo consumes. (*net.Buffers).WriteTo has a
+	// pointer receiver, so a local copy of vecs would escape and cost one
+	// heap allocation per writev; a field is already on the heap.
+	sendv net.Buffers
 }
 
 // queuedFrame is one frame awaiting flush, with the span riding it (nil
@@ -515,8 +519,8 @@ func (q *frameQueue) run() {
 			if q.bytesPerSyscall != nil {
 				q.bytesPerSyscall.Observe(int64(total))
 			}
-			vecs := q.vecs // WriteTo consumes the header; keep q.vecs anchored
-			if _, err := vecs.WriteTo(q.conn); err != nil {
+			q.sendv = q.vecs // WriteTo consumes the header; keep q.vecs anchored
+			if _, err := q.sendv.WriteTo(q.conn); err != nil {
 				q.fail(err)
 			}
 		}

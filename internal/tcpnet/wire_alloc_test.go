@@ -11,6 +11,7 @@ package tcpnet
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"time"
 )
@@ -176,5 +177,34 @@ func TestWriteRoundTripAllocs(t *testing.T) {
 	})
 	if avg > maxWriteAllocs {
 		t.Fatalf("OpWrite round trip: %.1f allocs/op, want <= %d", avg, maxWriteAllocs)
+	}
+}
+
+// TestEnqueueFlushAllocs gates one enqueue→flush cycle at zero
+// allocations: the frame comes from the pool, the queue slices are
+// recycled, and the writev header lives in the queue (a local header
+// escapes through (*net.Buffers).WriteTo and costs one per syscall).
+func TestEnqueueFlushAllocs(t *testing.T) {
+	q, pool, peer := loopbackQueue(t)
+	payload := bytes.Repeat([]byte{0xa7}, 200)
+	got := make([]byte, frameHeader+len(payload))
+	cycle := func() {
+		f, err := pool.encodeFrame(1, statusOK, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := q.enqueue(f); err != nil {
+			t.Fatal(err)
+		}
+		// Waiting for the whole frame paces the loop at one writev per cycle.
+		if _, err := io.ReadFull(peer, got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ { // warm the frame pool and both queue slices
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(500, cycle); avg != 0 {
+		t.Fatalf("enqueue→flush: %.1f allocs per cycle, want 0", avg)
 	}
 }

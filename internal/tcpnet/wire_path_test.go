@@ -94,6 +94,64 @@ func TestFlushCoalescing(t *testing.T) {
 	}
 }
 
+// loopbackQueue returns a frame queue writing to one end of a real TCP
+// loopback connection (so flushes take the writev path, which net.Pipe
+// does not have), its frame pool, and the peer end to read from.
+func loopbackQueue(t *testing.T) (*frameQueue, *framePool, net.Conn) {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := lis.Accept()
+		accepted <- c
+	}()
+	conn, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := <-accepted
+	if peer == nil {
+		t.Fatal("accept failed")
+	}
+	pool := new(framePool)
+	q := newFrameQueue(conn, pool)
+	t.Cleanup(func() {
+		q.close()
+		_ = conn.Close()
+		_ = peer.Close()
+	})
+	return q, pool, peer
+}
+
+// TestEnqueueFlushCycle is the race-mode twin of the allocation gate in
+// wire_alloc_test.go: single frames through enqueue, the writer
+// goroutine's writev, and the peer's read, one at a time.
+func TestEnqueueFlushCycle(t *testing.T) {
+	q, pool, peer := loopbackQueue(t)
+	payload := bytes.Repeat([]byte{0xa7}, 200)
+	got := make([]byte, frameHeader+len(payload))
+	for i := 0; i < 200; i++ {
+		payload[0] = byte(i)
+		f, err := pool.encodeFrame(uint64(i+1), statusOK, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := q.enqueue(f); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(peer, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[frameHeader:], payload) {
+			t.Fatalf("frame %d: peer read different bytes", i)
+		}
+	}
+}
+
 // TestAbortDrainsClaimedWaiter covers the start/failAll race: when a
 // request's send fails because the connection died, failAll may already
 // have claimed its id and sent a failure into the waiter channel. The
