@@ -52,11 +52,14 @@ bench-wire:
 # differential benchmarks the sharded hot-path work is gated on, and the
 # control path's scaling in live objects (gmalloc+gfree and address
 # resolution at 1k/8k/64k objects must cost the same; parent and change
-# runs are recorded in results/e19.objindex.txt).
+# runs are recorded in results/e19.objindex.txt) and the promotion
+# planner's in resident copies (a round and a remap batch at 64 and at
+# 2048 copies must cost the same; results/e19.planner.txt).
 bench-scale:
 	$(GO) test ./internal/tcpnet -run=^$$ -bench=BenchmarkTCPFanIn -short -benchtime=500x
 	$(GO) test ./internal/engine -run=^$$ -bench=BenchmarkReadHitParallel -benchtime=1000x -cpu=1,4
 	$(GO) test ./internal/engine -run=^$$ -bench='BenchmarkMallocFree|BenchmarkFindContaining' -benchmem -benchtime=20000x
+	$(GO) test ./internal/engine -run=^$$ -bench='BenchmarkPlanRound|BenchmarkRemapApply' -benchmem -benchtime=2000x
 	$(GO) test ./internal/alloc -run=^$$ -bench='BenchmarkBuddyParallel|BenchmarkShardedPoolParallel' -benchtime=1000x -cpu=1,4
 
 # Distributed-cache scaling smoke (experiment E20): the DRAM-served

@@ -10,8 +10,11 @@ import (
 //
 //	//gengar:guardedby <mu>
 //
-// whose type is atomic.Pointer[...] (cache.RemapTable.p,
-// alloc.ShardedPool.slabIndex). The contract has two sides:
+// whose type is atomic.Pointer[...] (alloc.ShardedPool.slabIndex;
+// cache.RemapTable.buckets for its publication side only — the bucket
+// array is replaced under mu when it doubles, while the chains hanging
+// off it are republished bucket by bucket with atomic stores, which
+// this rule does not look at). The contract has two sides:
 //
 //   - Publication: Store/Swap on the field is legal only while the
 //     declared sibling writer mutex of the SAME receiver is held (or on

@@ -44,8 +44,8 @@ type Facts struct {
 
 // guardFact is one //gengar:guardedby contract.
 type guardFact struct {
-	fieldKey  string         // annotated field, e.g. "gengar/internal/cache.RemapTable.p"
-	fieldName string         // display name, e.g. "RemapTable.p"
+	fieldKey  string         // annotated field, e.g. "gengar/internal/cache.RemapTable.buckets"
+	fieldName string         // display name, e.g. "RemapTable.buckets"
 	muName    string         // declared sibling mutex field name
 	muKey     string         // its key
 	declPos   token.Position // annotation position (suppression anchor)
@@ -136,8 +136,8 @@ func exprKey(info *types.Info, e ast.Expr) (string, bool) {
 }
 
 // displayKey shortens a full key for diagnostics: the package path
-// collapses to its base ("gengar/internal/cache.RemapTable.p" ->
-// "cache.RemapTable.p").
+// collapses to its base ("gengar/internal/cache.RemapTable.buckets" ->
+// "cache.RemapTable.buckets").
 func displayKey(key string) string {
 	if i := strings.LastIndexByte(key, '/'); i >= 0 {
 		return key[i+1:]

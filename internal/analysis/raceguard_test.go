@@ -31,11 +31,19 @@ var raceExcludeAllowlist = map[string]raceSibling{
 	},
 	"internal/tcpnet/wire_alloc_test.go": {
 		file:    "internal/tcpnet/wire_path_test.go",
-		symbols: []string{"Read", "ReadMulti", "WriteMulti", "enqueue"},
+		symbols: []string{"Read", "ReadMulti", "WriteMulti", "enqueue", "read"},
 	},
 	"internal/engine/malloc_alloc_test.go": {
 		file:    "internal/engine/objindex_test.go",
 		symbols: []string{"Malloc", "Free"},
+	},
+	"internal/engine/plan_alloc_test.go": {
+		file:    "internal/engine/plan_test.go",
+		symbols: []string{"digest"},
+	},
+	"internal/hotness/alloc_test.go": {
+		file:    "internal/hotness/hotness_test.go",
+		symbols: []string{"Add", "Rebalance"},
 	},
 	"internal/proxy/flush_alloc_test.go": {
 		file:    "internal/proxy/coalesce_test.go",

@@ -125,99 +125,156 @@ func (p *BufferPool) Capacity() int64 { return p.buddy.ArenaSize() }
 func (p *BufferPool) Allocator() *alloc.ShardedPool { return p.buddy }
 
 // RemapTable is the home server's authoritative object->DRAM-copy map.
-// Every mutation bumps the epoch; clients compare epochs to decide when
-// to refresh. It is safe for concurrent use: readers follow an
-// atomically-swapped immutable snapshot (promotions are rare, lookups
-// are per-op, so copy-on-write beats a read lock on the hit path), and
-// mutations clone under a writer mutex before publishing.
+// Every batch of mutations bumps the epoch; clients compare epochs to
+// decide when to refresh. It is safe for concurrent use.
+//
+// The table is a chained hash index updated in place: each bucket heads
+// an immutable list of entries, published with one atomic store. Lookup
+// follows the list with no lock and no allocation; Apply rebuilds only
+// the lists of the entries it changes, under the writer mutex, so it
+// costs O(len(add)+len(remove)) however many objects are promoted. The
+// bucket array doubles (one O(n) copy) when entries outnumber buckets.
+//
+// A Lookup that runs beside an Apply sees each entry either before or
+// after the change, independently of the batch's other entries: a
+// demoted object may still resolve for a moment beside its replacement.
+// That is harmless — every location carries its generation, and a copy
+// that was released fails the generation check at the arena — and it is
+// what a client holding an older view sees anyway. Snapshot, the form
+// views are built from, takes the writer mutex and is always exactly
+// one epoch's table.
 type RemapTable struct {
-	mu sync.Mutex // serializes writers
+	mu sync.Mutex // serializes Apply and Snapshot
 	//gengar:guardedby mu
-	p atomic.Pointer[remapState]
+	buckets atomic.Pointer[[]remapBucket]
+	epoch   atomic.Uint64
+	n       atomic.Int64
 }
 
-// remapState is one immutable table version. The map is never mutated
-// after publication.
-type remapState struct {
-	epoch uint64
-	m     map[region.GAddr]Location
+// remapBucket heads one hash chain. Entries are never modified once
+// reachable from a bucket.
+type remapBucket struct {
+	head atomic.Pointer[remapEntry]
 }
+
+type remapEntry struct {
+	addr region.GAddr
+	loc  Location
+	next *remapEntry
+}
+
+// push publishes a new entry at the head of the chain. Caller holds the
+// table's mu (or owns a bucket array it has not published yet).
+func (b *remapBucket) push(addr region.GAddr, loc Location) {
+	b.head.Store(&remapEntry{addr: addr, loc: loc, next: b.head.Load()})
+}
+
+// remapMinBuckets is the initial bucket count (a power of two).
+const remapMinBuckets = 64
 
 // NewRemapTable returns an empty table at epoch zero.
 func NewRemapTable() *RemapTable {
 	t := &RemapTable{}
-	t.p.Store(&remapState{m: make(map[region.GAddr]Location)})
+	b := make([]remapBucket, remapMinBuckets)
+	t.buckets.Store(&b)
 	return t
 }
 
-// Epoch returns the current table version.
-func (t *RemapTable) Epoch() uint64 {
-	return t.p.Load().epoch
+// bucketOf hashes addr into b, whose length is a power of two. Object
+// bases are multiples of the allocator's 64-byte granule, so the low
+// bits carry nothing; a Fibonacci multiply spreads the rest.
+func bucketOf(b []remapBucket, addr region.GAddr) *remapBucket {
+	h := (uint64(addr) >> 6) * 0x9E3779B97F4A7C15
+	return &b[h>>32&uint64(len(b)-1)]
 }
+
+// Epoch returns the current table version.
+func (t *RemapTable) Epoch() uint64 { return t.epoch.Load() }
 
 // Lookup returns the DRAM location of the object based at addr, if
 // promoted. It takes no locks.
 //
 //gengar:hotpath
 func (t *RemapTable) Lookup(addr region.GAddr) (Location, bool) {
-	loc, ok := t.p.Load().m[addr]
-	return loc, ok
-}
-
-// Promoted returns the set of currently promoted object bases.
-func (t *RemapTable) Promoted() map[region.GAddr]bool {
-	s := t.p.Load()
-	out := make(map[region.GAddr]bool, len(s.m))
-	for a := range s.m {
-		out[a] = true
+	for e := bucketOf(*t.buckets.Load(), addr).head.Load(); e != nil; e = e.next {
+		if e.addr == addr {
+			return e.loc, true
+		}
 	}
-	return out
+	return Location{}, false
 }
 
-// Apply installs a batch of promotions and removals atomically and bumps
-// the epoch once (if anything changed). Removed entries are returned so
-// the caller can release their buffer space.
+// remove unlinks addr's entry from its chain, copying the entries in
+// front of it, and returns it (nil if addr has none). Caller holds mu.
+func (t *RemapTable) remove(b []remapBucket, addr region.GAddr) *remapEntry {
+	bucket := bucketOf(b, addr)
+	head := bucket.head.Load()
+	for e := head; e != nil; e = e.next {
+		if e.addr != addr {
+			continue
+		}
+		rest := e.next
+		for p := head; p != e; p = p.next {
+			rest = &remapEntry{addr: p.addr, loc: p.loc, next: rest}
+		}
+		bucket.head.Store(rest)
+		t.n.Add(-1)
+		return e
+	}
+	return nil
+}
+
+// Apply installs a batch of promotions and removals and bumps the epoch
+// once (if anything changed). Removed entries are returned so the caller
+// can release their buffer space.
 func (t *RemapTable) Apply(add map[region.GAddr]Location, remove []region.GAddr) []Location {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old := t.p.Load()
-	changed := len(add) > 0
-	for i := 0; !changed && i < len(remove); i++ {
-		_, changed = old.m[remove[i]]
-	}
-	if !changed {
-		return nil // a free or demotion of an unpromoted object: no new version to clone
-	}
-	next := &remapState{epoch: old.epoch + 1, m: make(map[region.GAddr]Location, len(old.m)+len(add))}
-	for a, l := range old.m {
-		next.m[a] = l
-	}
+	b := *t.buckets.Load()
 	var released []Location
 	for _, a := range remove {
-		if loc, ok := next.m[a]; ok {
-			released = append(released, loc)
-			delete(next.m, a)
+		if e := t.remove(b, a); e != nil {
+			released = append(released, e.loc)
 		}
 	}
 	for a, loc := range add {
-		next.m[a] = loc
+		t.remove(b, a) // a re-promotion replaces the entry
+		bucketOf(b, a).push(a, loc)
+		t.n.Add(1)
 	}
-	t.p.Store(next)
+	if len(add) == 0 && len(released) == 0 {
+		return nil // a free or demotion of an unpromoted object: same epoch
+	}
+	if int(t.n.Load()) > len(b) {
+		// Entries outnumber buckets: publish an array of twice the size
+		// holding the same entries. Readers still on the old array keep
+		// a complete table — its chains are left as they are.
+		grown := make([]remapBucket, 2*len(b))
+		for i := range b {
+			for e := b[i].head.Load(); e != nil; e = e.next {
+				bucketOf(grown, e.addr).push(e.addr, e.loc)
+			}
+		}
+		t.buckets.Store(&grown)
+	}
+	t.epoch.Add(1)
 	return released
 }
 
 // Snapshot returns the epoch and all entries, for shipping to clients.
 // The returned map is a defensive copy.
 func (t *RemapTable) Snapshot() (uint64, map[region.GAddr]Location) {
-	s := t.p.Load()
-	out := make(map[region.GAddr]Location, len(s.m))
-	for a, l := range s.m {
-		out[a] = l
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make(map[region.GAddr]Location, t.n.Load())
+	b := *t.buckets.Load()
+	for i := range b {
+		for e := b[i].head.Load(); e != nil; e = e.next {
+			out[e.addr] = e.loc
+		}
 	}
-	return s.epoch, out
+	return t.epoch.Load(), out
 }
 
 // Len returns the number of promoted objects.
-func (t *RemapTable) Len() int {
-	return len(t.p.Load().m)
-}
+func (t *RemapTable) Len() int { return int(t.n.Load()) }

@@ -2,6 +2,8 @@ package cache
 
 import (
 	"errors"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -118,22 +120,25 @@ func TestRemapTableEpochs(t *testing.T) {
 	if _, ok := rt.Lookup(ga(128)); ok {
 		t.Fatal("phantom lookup")
 	}
-	// Empty apply does not bump the epoch, and publishes no new version:
-	// the snapshot readers follow stays the very same one.
-	before := rt.p.Load()
-	if released := rt.Apply(nil, nil); released != nil || rt.Epoch() != 1 || rt.p.Load() != before {
-		t.Fatal("no-op apply bumped epoch or republished")
+	// Empty apply does not bump the epoch.
+	if released := rt.Apply(nil, nil); released != nil || rt.Epoch() != 1 {
+		t.Fatal("no-op apply bumped epoch")
 	}
 	// Removing a non-promoted address is a no-op too (every free and
-	// demotion of an unpromoted object takes this path).
-	if released := rt.Apply(nil, []region.GAddr{ga(999), ga(128)}); released != nil || rt.Epoch() != 1 || rt.p.Load() != before {
-		t.Fatal("no-op removal bumped epoch or republished")
+	// demotion of an unpromoted object takes this path), and costs no
+	// allocation.
+	absent := []region.GAddr{ga(999), ga(128)}
+	if released := rt.Apply(nil, absent); released != nil || rt.Epoch() != 1 {
+		t.Fatal("no-op removal bumped epoch")
+	}
+	if n := testing.AllocsPerRun(100, func() { rt.Apply(nil, absent) }); n != 0 {
+		t.Fatalf("no-op removal allocates %v", n)
 	}
 	// A batch that adds, removes a promoted entry, names it twice and names
 	// an unpromoted one is one change: one epoch, one release.
 	loc2 := Location{Node: "s1", RKey: 1, Off: 64, Size: 64}
 	released = rt.Apply(map[region.GAddr]Location{ga(256): loc2}, []region.GAddr{ga(999), ga(64), ga(64)})
-	if len(released) != 1 || released[0] != loc || rt.Epoch() != 2 || rt.Len() != 1 || rt.p.Load() == before {
+	if len(released) != 1 || released[0] != loc || rt.Epoch() != 2 || rt.Len() != 1 {
 		t.Fatalf("swap: released=%v epoch=%d len=%d", released, rt.Epoch(), rt.Len())
 	}
 	released = rt.Apply(nil, []region.GAddr{ga(256)})
@@ -142,16 +147,12 @@ func TestRemapTableEpochs(t *testing.T) {
 	}
 }
 
-func TestRemapTablePromotedAndSnapshot(t *testing.T) {
+func TestRemapTableSnapshot(t *testing.T) {
 	rt := NewRemapTable()
 	rt.Apply(map[region.GAddr]Location{
 		ga(64):  {Size: 64},
 		ga(256): {Size: 128},
 	}, nil)
-	prom := rt.Promoted()
-	if !prom[ga(64)] || !prom[ga(256)] || len(prom) != 2 {
-		t.Fatalf("Promoted = %v", prom)
-	}
 	epoch, snap := rt.Snapshot()
 	if epoch != 1 || len(snap) != 2 {
 		t.Fatalf("snapshot: %d %v", epoch, snap)
@@ -252,4 +253,162 @@ func TestClientViewMatchesTableProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRemapTableMatchesMap drives the table and a plain map with the
+// same random batches — through several doublings of the bucket array
+// and back down to empty — and compares Lookup, Len, Snapshot, the
+// released locations and the epoch after every batch.
+func TestRemapTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	rt := NewRemapTable()
+	model := make(map[region.GAddr]Location)
+	var epoch, gen uint64
+	const space = 4096 // object slots; several times remapMinBuckets
+	for round := 0; round < 2000; round++ {
+		grow := round < 1000 // fill up, then drain
+		add := make(map[region.GAddr]Location)
+		var remove []region.GAddr
+		for i := rng.Intn(8); i > 0; i-- {
+			a := ga(int64(rng.Intn(space)) * 64)
+			if rng.Intn(4) > 0 == grow {
+				gen++
+				add[a] = Location{Off: int64(gen), Size: 64, Gen: gen}
+			} else {
+				remove = append(remove, a)
+			}
+		}
+		want := make(map[Location]bool)
+		for _, a := range remove {
+			if loc, ok := model[a]; ok {
+				want[loc] = true
+				delete(model, a)
+			}
+		}
+		for a, loc := range add {
+			model[a] = loc
+		}
+		if len(add) > 0 || len(want) > 0 {
+			epoch++
+		}
+		released := rt.Apply(add, remove)
+		if len(released) != len(want) {
+			t.Fatalf("round %d: released %v, want %v", round, released, want)
+		}
+		for _, loc := range released {
+			if !want[loc] {
+				t.Fatalf("round %d: released %v, want %v", round, released, want)
+			}
+		}
+		if rt.Epoch() != epoch || rt.Len() != len(model) {
+			t.Fatalf("round %d: epoch %d len %d, want %d %d", round, rt.Epoch(), rt.Len(), epoch, len(model))
+		}
+		for i := 0; i < 64; i++ {
+			a := ga(int64(rng.Intn(space)) * 64)
+			got, ok := rt.Lookup(a)
+			if loc, in := model[a]; ok != in || got != loc {
+				t.Fatalf("round %d: Lookup(%v) = %+v %v, want %+v %v", round, a, got, ok, loc, in)
+			}
+		}
+		if round%100 == 99 {
+			e, snap := rt.Snapshot()
+			if e != epoch || len(snap) != len(model) {
+				t.Fatalf("round %d: snapshot epoch %d with %d entries, want %d with %d", round, e, len(snap), epoch, len(model))
+			}
+			for a, loc := range model {
+				if snap[a] != loc {
+					t.Fatalf("round %d: snapshot[%v] = %+v, want %+v", round, a, snap[a], loc)
+				}
+			}
+		}
+	}
+	if n := len(*rt.buckets.Load()); n <= remapMinBuckets {
+		t.Fatalf("bucket array never grew: %d", n)
+	}
+}
+
+// TestRemapTableReadersVersusPlanner runs four lock-free readers and a
+// snapshot taker against one writer that applies swap batches the way a
+// promotion round does. The writer keeps the invariant "slot i is
+// promoted in exactly one of its two homes, at generation = epoch it
+// was installed in"; a Lookup hit must carry the address's own slot, and
+// a Snapshot must be exactly one epoch's table: every slot present once.
+func TestRemapTableReadersVersusPlanner(t *testing.T) {
+	const slots = 512
+	home := func(slot, side int) region.GAddr { return ga(int64(2*slot+side) * 64) }
+	rt := NewRemapTable()
+	add := make(map[region.GAddr]Location)
+	for i := 0; i < slots; i++ {
+		add[home(i, 0)] = Location{Off: int64(i), Gen: 1}
+	}
+	rt.Apply(add, nil)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				slot, side := rng.Intn(slots), rng.Intn(2)
+				if loc, ok := rt.Lookup(home(slot, side)); ok && loc.Off != int64(slot) {
+					t.Errorf("Lookup(slot %d) returned slot %d's copy", slot, loc.Off)
+					return
+				}
+			}
+		}(int64(r))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			epoch, snap := rt.Snapshot()
+			if len(snap) != slots {
+				t.Errorf("snapshot at epoch %d has %d entries, want %d", epoch, len(snap), slots)
+				return
+			}
+			for i := 0; i < slots; i++ {
+				a, inA := snap[home(i, 0)]
+				b, inB := snap[home(i, 1)]
+				if inA == inB || a.Gen > epoch || b.Gen > epoch {
+					t.Errorf("snapshot at epoch %d is not one epoch's table: slot %d %v %+v / %v %+v", epoch, i, inA, a, inB, b)
+					return
+				}
+			}
+		}
+	}()
+
+	rng := rand.New(rand.NewSource(99))
+	side := make([]int, slots)
+	for round := 0; round < 3000; round++ {
+		add := make(map[region.GAddr]Location)
+		var remove []region.GAddr
+		picked := make(map[int]bool)
+		for n := 1 + rng.Intn(16); n > 0; n-- {
+			i := rng.Intn(slots)
+			if picked[i] {
+				continue
+			}
+			picked[i] = true
+			remove = append(remove, home(i, side[i]))
+			side[i] = 1 - side[i]
+			add[home(i, side[i])] = Location{Off: int64(i), Gen: rt.Epoch() + 1}
+		}
+		if released := rt.Apply(add, remove); len(released) != len(remove) {
+			t.Fatalf("round %d: released %d of %d", round, len(released), len(remove))
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gengar/internal/cache"
 	"gengar/internal/config"
 	"gengar/internal/hotness"
 	"gengar/internal/region"
@@ -163,5 +164,195 @@ func TestMallocFreeFlatInLiveObjects(t *testing.T) {
 	t.Logf("Malloc+Free: %v at live=1k, %v at live=64k", small, large)
 	if large > 3*small {
 		t.Fatalf("Malloc+Free costs %v with 64k live objects, %v with 1k: more than 3x", large, small)
+	}
+}
+
+// promotedSizes are the resident-set sizes the planner benchmarks run
+// at: a promotion round must cost the same whether 64 copies are held or
+// 2048 (the benchmark daemon's 4 MiB arena of 1 KiB objects).
+var promotedSizes = []int{64, 2048}
+
+// planStream is a stationary access stream for the planner benchmarks:
+// a sketch of 4096 counters, all in use, over 4096 live 1 KiB objects of
+// which the first `promoted` are hot (three quarters of the weight,
+// spread evenly) and fill the arena. One round is one digest of 32
+// reads, stamped one PlanEvery after the last, so every digest runs a
+// promotion round. Aging balances the weight the stream adds: a hot
+// object settles around 0.75*65536/promoted, a cold one around
+// 0.25*65536/(4096-promoted) — above MinWeight, never enough to
+// displace — so with a constant budget no round has anything to move.
+type planStream struct {
+	eng       *Engine
+	hot, cold []region.GAddr
+	round     int
+	entries   []hotness.Entry
+}
+
+const planSketchK = 4096
+
+func newPlanStream(tb testing.TB, promoted int, placer func(*Engine) Placer) *planStream {
+	tb.Helper()
+	cfg := config.Default()
+	cfg.Servers = 1
+	cfg.NVMBytes = 256 << 20
+	cfg.DRAMBufferBytes = int64(promoted) * 2048 // a 1 KiB copy and its header: one 2 KiB block
+	cfg.Hotness.SketchK = planSketchK
+	eng, err := New(Config{ID: 1, Name: "eng-plan", Cluster: cfg})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(eng.Close)
+	eng.SetPlacer(placer(eng))
+	addrs := make([]region.GAddr, planSketchK)
+	for i := range addrs {
+		if addrs[i], err = eng.Malloc(1024); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	s := &planStream{eng: eng, hot: addrs[:promoted], cold: addrs[promoted:], entries: make([]hotness.Entry, 32)}
+	// Two aging periods settle the counts; the arena fills 16 copies a
+	// round on the way.
+	for i := 0; i < 2*16*planSketchK/64; i++ {
+		s.digest()
+	}
+	if st := eng.Stats(); st.Promoted != promoted {
+		tb.Fatalf("warm-up left %d of %d copies: %+v", st.Promoted, promoted, st)
+	}
+	return s
+}
+
+// digest lands the stream's next round: 24 reads of hot objects, 8 of
+// cold ones, each walking its set in order.
+func (s *planStream) digest() {
+	for j := range s.entries {
+		set, n := s.hot, 24*s.round+j
+		if j >= 24 {
+			set, n = s.cold, 8*s.round+j
+		}
+		s.entries[j] = hotness.Entry{Addr: set[n%len(set)], Reads: 1}
+	}
+	s.round++
+	s.eng.Digest(simnet.Time(s.round)*simnet.Time(time.Millisecond), s.entries)
+}
+
+// flipPlacer is a local placer whose copy budget alternates between the
+// whole arena and 16 copies less, round by round: every round then has
+// exactly 16 objects to move — the coldest 16 out, and the same 16, now
+// the strongest challengers, back in — and the stream stays stationary.
+type flipPlacer struct {
+	*LocalPlacer
+	arena int64
+	calls int
+}
+
+func (p *flipPlacer) CopyBudget() int64 {
+	p.calls++
+	return p.arena - int64(p.calls%2)*16*2048
+}
+
+// BenchmarkPlanRound measures one digest of 32 reads plus the promotion
+// round it triggers, with the sketch full at 4096 counters: rounds that
+// have nothing to move (steady), and rounds that move 16 copies
+// (churn16: flusher quiesced, copies installed or released, remap table
+// updated).
+func BenchmarkPlanRound(b *testing.B) {
+	for _, promoted := range promotedSizes {
+		b.Run(fmt.Sprintf("promoted=%d/steady", promoted), func(b *testing.B) {
+			s := newPlanStream(b, promoted, func(e *Engine) Placer { return NewLocalPlacer(e) })
+			before := s.eng.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.digest()
+			}
+			b.StopTimer()
+			if after := s.eng.Stats(); after.RemapEpoch != before.RemapEpoch {
+				b.Fatalf("steady rounds moved copies: %+v -> %+v", before, after)
+			}
+		})
+		b.Run(fmt.Sprintf("promoted=%d/churn16", promoted), func(b *testing.B) {
+			s := newPlanStream(b, promoted, func(e *Engine) Placer {
+				return &flipPlacer{LocalPlacer: NewLocalPlacer(e), arena: int64(promoted) * 2048}
+			})
+			before := s.eng.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.digest()
+			}
+			b.StopTimer()
+			after := s.eng.Stats()
+			moved := after.Promotions - before.Promotions + after.Demotions - before.Demotions
+			if moved < int64(15*b.N) || moved > int64(17*b.N) {
+				b.Fatalf("%d copies moved in %d rounds, want 16 a round", moved, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkRemapApply measures one remap-table batch of 16 promotions
+// and 16 demotions against a table already holding `entries` copies.
+func BenchmarkRemapApply(b *testing.B) {
+	for _, entries := range promotedSizes {
+		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
+			rt := cache.NewRemapTable()
+			base := func(i int) region.GAddr { return region.MustGAddr(1, int64(i)*1024) }
+			// Objects [lo, lo+entries) are promoted; each batch slides the
+			// window by 16.
+			fill := make(map[region.GAddr]cache.Location, entries)
+			for i := 0; i < entries; i++ {
+				fill[base(i)] = cache.Location{Off: int64(i) * 2048, Size: 1024, Gen: 1}
+			}
+			rt.Apply(fill, nil)
+			add := make(map[region.GAddr]cache.Location, 16)
+			remove := make([]region.GAddr, 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := 16 * i
+				clear(add)
+				for j := 0; j < 16; j++ {
+					remove[j] = base(lo + j)
+					add[base(lo+entries+j)] = cache.Location{Off: int64(lo+j) * 2048, Size: 1024, Gen: uint64(i + 2)}
+				}
+				if released := rt.Apply(add, remove); len(released) != 16 {
+					b.Fatalf("batch %d released %d copies", i, len(released))
+				}
+			}
+			b.StopTimer()
+			if rt.Len() != entries {
+				b.Fatalf("table holds %d entries, want %d", rt.Len(), entries)
+			}
+		})
+	}
+}
+
+// TestPlanRoundFlatInPromoted is the planner's scaling gate: a digest
+// plus its promotion round with 2048 copies resident must cost within
+// 2x of the same with 64 (the sort-based planner it replaced was O(sketch)
+// + O(promoted) a round, results/e19.planner.txt). Best of five short
+// runs per size, so one scheduling hiccup does not decide it.
+func TestPlanRoundFlatInPromoted(t *testing.T) {
+	cost := func(promoted int) time.Duration {
+		s := newPlanStream(t, promoted, func(e *Engine) Placer { return NewLocalPlacer(e) })
+		const rounds = 2000
+		epoch := s.eng.Stats().RemapEpoch
+		best := time.Duration(1<<63 - 1)
+		for run := 0; run < 5; run++ {
+			start := time.Now()
+			for i := 0; i < rounds; i++ {
+				s.digest()
+			}
+			best = min(best, time.Since(start))
+		}
+		if got := s.eng.Stats().RemapEpoch; got != epoch {
+			t.Fatalf("promoted=%d: a stationary stream moved copies (epoch %d -> %d)", promoted, epoch, got)
+		}
+		return best / rounds
+	}
+	small, large := cost(promotedSizes[0]), cost(promotedSizes[1])
+	t.Logf("digest + round: %v at promoted=64, %v at promoted=2048", small, large)
+	if large > 2*small {
+		t.Fatalf("a round costs %v with 2048 copies resident, %v with 64: more than 2x", large, small)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"gengar/internal/alloc"
 	"gengar/internal/cache"
@@ -105,10 +106,15 @@ type Engine struct {
 	lastPlan       simnet.Time
 	lastPlanWeight uint64
 	newWeight      uint64 // digest weight landed since the last plan
-	lastDecay      simnet.Time
 	planned        bool
 	nextRing       int64
 	freeRings      []int64
+
+	// planning is set while a promotion round is in flight; the round
+	// owns promote and demote, its moves, which are reused from round to
+	// round.
+	planning        atomic.Bool
+	promote, demote []region.GAddr
 
 	promotions   metrics.Counter
 	demotions    metrics.Counter
@@ -310,11 +316,7 @@ func (e *Engine) Free(addr region.GAddr) error {
 	if !e.objIdx.remove(addr) {
 		return fmt.Errorf("%w: free of %v", ErrUnknownObject, addr)
 	}
-	released := e.remap.Apply(nil, []region.GAddr{addr})
-	for _, loc := range released {
-		e.releaseCopy(loc)
-		e.demotions.Inc()
-	}
+	e.demoteCopy(addr)
 	if err := e.pool.Free(addr.Offset()); err != nil {
 		return err
 	}
@@ -517,8 +519,8 @@ const seqlockAttempts = 4
 // the generation header against the remap entry (a mismatched header
 // means the buffer slot was reused for a different object).
 //
-// The hit path is lock-free: object index and remap lookups follow
-// copy-on-write snapshots, and the copy bytes are read with a seqlock —
+// The hit path is lock-free: the object index and the remap table are
+// read in place with atomic loads, and the copy bytes with a seqlock —
 // load the copy's seq word (even means quiescent), compare the
 // generation word, copy the data with atomic word loads, then re-check
 // both words. A racing writer flips seq odd before mutating and +2
@@ -635,14 +637,15 @@ func (e *Engine) readPeerCopy(at simnet.Time, addr region.GAddr, buf []byte) (si
 	return end, true
 }
 
-// demoteCopy drops the promoted entry for base and releases whatever
-// location the remap table still held — the graceful-degradation path
-// for unreachable or stale peer copies. Apply serializes concurrent
-// demoters, so exactly one caller receives (and releases) the location.
+// demoteCopy drops the promoted copy of base, if any, outside a
+// promotion round: the object is being freed, or its copy sits on an
+// unreachable or stale peer. The sketch is told, so the planner's
+// resident set keeps matching the remap table.
 func (e *Engine) demoteCopy(base region.GAddr) {
-	for _, loc := range e.remap.Apply(nil, []region.GAddr{base}) {
-		e.releaseCopy(loc)
-		e.demotions.Inc()
+	if e.dropCopies([]region.GAddr{base}) {
+		e.mu.Lock()
+		e.sketch.ClearResident(base)
+		e.mu.Unlock()
 	}
 }
 

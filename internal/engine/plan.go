@@ -9,13 +9,17 @@ import (
 	"gengar/internal/simnet"
 )
 
-// MaybePlan schedules a promotion/demotion plan on the proxy flusher
-// goroutine when an epoch has passed: either PlanEvery of engine time
-// since the last plan, or the sketch's total observed weight doubling
-// (so a burst of fresh access information is acted on even when little
-// time has elapsed). Running on the flusher serializes plans with
-// write-throughs, so a copy install can never race a flush of the same
-// object.
+// MaybePlan runs a promotion round when an epoch has passed: either
+// PlanEvery of engine time since the last round, or the sketch's total
+// observed weight doubling (so a burst of fresh access information is
+// acted on even when little time has elapsed).
+//
+// The round itself (hotness.Policy.Rebalance) reads the sketch's heap
+// tops under e.mu and costs O(objects that move). Only a round that
+// moves something goes on to the proxy flusher: executePlan runs with
+// every flush worker quiesced, so a copy install can never race a
+// write-through of the same object. With a stable hot set most rounds
+// end here, having touched nothing but the sketch.
 func (e *Engine) MaybePlan(at simnet.Time) {
 	if e.placer == nil {
 		return // mount has not enabled promotion
@@ -24,10 +28,9 @@ func (e *Engine) MaybePlan(at simnet.Time) {
 	total := e.sketch.Total()
 	elapsed := !e.planned || at.Sub(e.lastPlan) >= e.cfg.Hotness.PlanEvery
 	grown := total >= 2*e.lastPlanWeight && total > 0
-	// Never plan (and in particular never decay) without fresh access
-	// information: back-to-back plans on a stale sketch would age the
-	// hot set into oblivion.
-	if e.newWeight == 0 || (!elapsed && !grown) {
+	// Never plan without fresh access information, and one round at a
+	// time: the one in flight owns the promote and demote lists.
+	if e.newWeight == 0 || (!elapsed && !grown) || !e.planning.CompareAndSwap(false, true) {
 		e.mu.Unlock()
 		return
 	}
@@ -36,9 +39,26 @@ func (e *Engine) MaybePlan(at simnet.Time) {
 	e.lastPlanWeight = total
 	e.newWeight = 0
 	e.mu.Unlock()
+	defer e.planning.Store(false)
 
-	// Best-effort: if the flusher is closing, skip the plan.
-	_ = e.flusher.Submit(func() { e.executePlan(at) })
+	// Capacity-aware planning: the placer reports the aggregate DRAM the
+	// plan may budget copies against — the local arena alone for a local
+	// placer, local plus live peers' advertised arenas for a peer placer.
+	// Queried outside e.mu (the placer may consult link state with its
+	// own locking), and re-read each round so the budget tracks peers
+	// joining and dying: a shrunk budget demotes the overflow, which
+	// releases the dead peer's copies.
+	pol := e.policy
+	if b := e.placer.CopyBudget(); b > 0 {
+		pol.BudgetBytes = b
+	}
+	e.mu.Lock()
+	e.promote, e.demote = pol.Rebalance(e.sketch, e.CopyFootprint, e.promote[:0], e.demote[:0])
+	e.mu.Unlock()
+	if len(e.promote)+len(e.demote) > 0 {
+		// Best-effort: if the flusher is closing, skip the round.
+		_ = e.flusher.Submit(func() { e.executePlan(at) })
+	}
 }
 
 // CopyFootprint returns the DRAM arena bytes a promoted copy of the
@@ -55,64 +75,75 @@ func (e *Engine) CopyFootprint(base region.GAddr) int64 {
 	return alloc.BlockSize(size + cache.CopyHeaderBytes)
 }
 
-// executePlan runs one promotion/demotion round at instant at. It must
-// only run on the flusher goroutine.
+// executePlan carries out the round MaybePlan computed into e.promote
+// and e.demote, at instant at. It must only run on the flusher
+// goroutine. Demotions go first, so that the arena space they release
+// is there for the round's promotions; a round that does both bumps the
+// remap epoch twice.
 func (e *Engine) executePlan(at simnet.Time) {
-	// Capacity-aware planning: the placer reports the aggregate DRAM the
-	// plan may budget copies against — the local arena alone for a local
-	// placer, local plus live peers' advertised arenas for a peer placer.
-	// Queried before taking e.mu (the placer may consult link state with
-	// its own locking), and re-read each plan so the budget tracks peers
-	// joining and dying: a shrunk budget demotes the overflow, which
-	// releases the dead peer's copies.
-	budget := e.policy.BudgetBytes
-	if b := e.placer.CopyBudget(); b > 0 {
-		budget = b
+	e.dropCopies(e.demote)
+	if len(e.promote) == 0 {
+		return
 	}
+	add := make(map[region.GAddr]cache.Location, len(e.promote))
+	for _, base := range e.promote {
+		if loc, ok := e.installCopy(at, base); ok {
+			add[base] = loc
+			e.promotions.Inc()
+		}
+	}
+	e.remap.Apply(add, nil)
+	if len(add) == len(e.promote) {
+		return
+	}
+	// The sketch already counts every planned promotion as resident;
+	// take back the ones that did not happen.
 	e.mu.Lock()
-	pol := e.policy
-	pol.BudgetBytes = budget
-	promote, demote := pol.Plan(e.sketch, e.CopyFootprint, e.remap.Promoted())
-	// Age the sketch on a wall of engine time, not per plan: several
-	// plans may execute back-to-back when digests arrive in bursts, and
-	// halving on each would decay a perfectly hot working set to nothing.
-	if decayEvery := 4 * e.cfg.Hotness.PlanEvery; at.Sub(e.lastDecay) >= decayEvery {
-		e.sketch.Decay()
-		e.lastDecay = at
+	for _, base := range e.promote {
+		if _, ok := add[base]; !ok {
+			e.sketch.ClearResident(base)
+		}
 	}
 	e.mu.Unlock()
+}
 
-	add := make(map[region.GAddr]cache.Location, len(promote))
-	for _, base := range promote {
-		size := e.objIdx.sizeOf(base)
-		if size <= 0 {
-			continue // freed since the plan was computed
-		}
-		loc, err := e.placer.PlaceCopy(size)
-		if err != nil {
-			continue // arena full; try again next epoch
-		}
-		// Read the authoritative NVM data and install header + data.
-		payload := make([]byte, cache.CopyHeaderBytes+size)
-		binary.BigEndian.PutUint64(payload, loc.Gen)
-		tRead, err := e.nvm.Read(at, base.Offset(), payload[cache.CopyHeaderBytes:])
-		if err != nil {
-			e.placer.Release(loc)
-			continue
-		}
-		if _, err := e.placer.InstallCopy(tRead, loc, payload); err != nil {
-			e.placer.Release(loc)
-			continue
-		}
-		add[base] = loc
-		e.promotions.Inc()
+// installCopy places a DRAM copy of the object at base and fills it
+// from the authoritative NVM data. It reports false when the object
+// was freed since the round was computed, the arena is full, or the
+// copy could not be written; the next round tries again.
+func (e *Engine) installCopy(at simnet.Time, base region.GAddr) (cache.Location, bool) {
+	size := e.objIdx.sizeOf(base)
+	if size <= 0 {
+		return cache.Location{}, false
 	}
+	loc, err := e.placer.PlaceCopy(size)
+	if err != nil {
+		return cache.Location{}, false
+	}
+	payload := make([]byte, cache.CopyHeaderBytes+size)
+	binary.BigEndian.PutUint64(payload, loc.Gen)
+	tRead, err := e.nvm.Read(at, base.Offset(), payload[cache.CopyHeaderBytes:])
+	if err == nil {
+		_, err = e.placer.InstallCopy(tRead, loc, payload)
+	}
+	if err != nil {
+		e.placer.Release(loc)
+		return cache.Location{}, false
+	}
+	return loc, true
+}
 
-	released := e.remap.Apply(add, demote)
+// dropCopies removes the remap entries of bases and releases whatever
+// locations the table still held for them. Apply serializes concurrent
+// callers, so exactly one receives (and releases) each location. It
+// reports whether any of bases was promoted.
+func (e *Engine) dropCopies(bases []region.GAddr) bool {
+	released := e.remap.Apply(nil, bases)
 	for _, loc := range released {
 		e.releaseCopy(loc)
 		e.demotions.Inc()
 	}
+	return len(released) > 0
 }
 
 // writeCopy routes a copy update through the placer (which knows whether

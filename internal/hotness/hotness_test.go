@@ -119,11 +119,13 @@ func TestSpaceSavingHeavyHitterGuarantee(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		zipf := rand.NewZipf(rng, 1.2, 1, 1023)
-		const k = 32
+		// One aging period (DecayWeightPerCounter*k) is longer than the
+		// stream: the guarantee is about counts, not about aged ones.
+		const k = 256
 		s := NewSpaceSaving(k)
 		exact := make(map[region.GAddr]uint64)
 		var total uint64
-		for i := 0; i < 5000; i++ {
+		for i := 0; i < DecayWeightPerCounter*k-1; i++ {
 			// Zipf: low offsets much more frequent.
 			obj := int64(zipf.Uint64())
 			addr := ga(obj * 64)
@@ -150,7 +152,7 @@ func TestSpaceSavingDecay(t *testing.T) {
 	s := NewSpaceSaving(8)
 	s.Add(ga(64), 8)
 	s.Add(ga(128), 1)
-	s.Decay()
+	s.halve()
 	if s.Estimate(ga(64)) != 4 {
 		t.Fatalf("decayed count = %d", s.Estimate(ga(64)))
 	}
@@ -160,6 +162,103 @@ func TestSpaceSavingDecay(t *testing.T) {
 	if s.Total() != 4 {
 		t.Fatalf("Total after decay = %d", s.Total())
 	}
+}
+
+// halvings counts the sketch's agings so far, for tests that feed it a
+// stream and need to know how old the sketch is.
+type halvings struct {
+	s    *SpaceSaving
+	n    int
+	last uint64
+}
+
+func (h *halvings) observe() int {
+	if h.s.sinceDecay < h.last {
+		h.n++
+	}
+	h.last = h.s.sinceDecay
+	return h.n
+}
+
+func TestSketchAgesPerWeight(t *testing.T) {
+	// A key at 1 % of the stream settles at 1 % of one aging period
+	// (DecayWeightPerCounter*k = 4096 here, so ~41 after a halving, ~82
+	// before): it never drops below MinWeight however long the stream,
+	// and the sketch's total stays bounded by two periods.
+	const k = 256
+	s := NewSpaceSaving(k)
+	age := halvings{s: s}
+	hot := ga(0)
+	for i := 0; age.observe() < 50; i++ {
+		if i%100 == 0 {
+			s.Add(hot, 1)
+		} else {
+			s.Add(ga(int64(1+i%1000)*64), 1)
+		}
+		if age.n > 0 && s.Estimate(hot) < DefaultPolicy(0).MinWeight {
+			t.Fatalf("hot key at weight %d after %d halvings", s.Estimate(hot), age.n)
+		}
+		if s.Total() > 2*DecayWeightPerCounter*k {
+			t.Fatalf("total %d after %d halvings: the sketch is not aging", s.Total(), age.n)
+		}
+	}
+	if got := s.Estimate(hot); got < 30 || got > 90 {
+		t.Fatalf("hot key settled at %d, want about 41..82", got)
+	}
+}
+
+func TestUnseenKeyAgesOut(t *testing.T) {
+	// A key that is no longer accessed loses one bit per halving: gone
+	// after at most ceil(log2(count))+1 of them, its counter recycled.
+	const k, count = 64, 1000 // ceil(log2(1000)) = 10
+	s := NewSpaceSaving(k)
+	age := halvings{s: s}
+	stale := ga(0)
+	s.Add(stale, count)
+	s.sinceDecay, age.last = 0, 0 // the key's own weight does not start the clock
+	for i := 0; age.observe() < 11; i++ {
+		if age.n == 9 && s.Estimate(stale) == 0 {
+			t.Fatalf("key of weight %d gone after only 9 halvings", count)
+		}
+		s.Add(ga(int64(1+i%32)*64), 1)
+	}
+	if s.Estimate(stale) != 0 || s.Len() != 32 || len(s.free) != 1 {
+		t.Fatalf("after 11 halvings: weight %d, %d counters held, %d free", s.Estimate(stale), s.Len(), len(s.free))
+	}
+}
+
+func TestRebalanceSteadyStateMovesNothing(t *testing.T) {
+	// The race-mode twin of TestRebalanceSteadyStateAllocs: a full
+	// sketch, a full budget, a stream that keeps the order — round after
+	// round, nothing to do.
+	s, p, stream := steadySketch()
+	for i := 0; i < 200; i++ {
+		stream()
+		if promote, demote := p.Rebalance(s, sizeConst(64), nil, nil); len(promote)+len(demote) != 0 {
+			t.Fatalf("round %d of a stable stream: +%v -%v", i, promote, demote)
+		}
+	}
+	if s.Residents() != 32 || s.residentBytes != 32*64 {
+		t.Fatalf("%d residents holding %d bytes, want 32 and %d", s.Residents(), s.residentBytes, 32*64)
+	}
+}
+
+// steadySketch returns a full 128-counter sketch whose 32 hottest keys
+// fill the policy's budget, and a function that replays one round's
+// worth of the stream that made it so.
+func steadySketch() (*SpaceSaving, Policy, func()) {
+	s := NewSpaceSaving(128)
+	p := Policy{BudgetBytes: 32 * 64, MinWeight: 4, Hysteresis: 1.5, MaxChurn: 16}
+	stream := func() {
+		for i := int64(0); i < 128; i++ {
+			s.Add(ga(i*64), uint64(1+(128-i)/8))
+		}
+	}
+	for i := 0; i < 64; i++ {
+		stream()
+		p.Rebalance(s, sizeConst(64), nil, nil)
+	}
+	return s, p, stream
 }
 
 func TestNewSpaceSavingClampsK(t *testing.T) {
@@ -178,7 +277,7 @@ func sizeConst(n int64) func(region.GAddr) int64 {
 func TestPolicyPlanBudget(t *testing.T) {
 	s := NewSpaceSaving(16)
 	for i := int64(0); i < 8; i++ {
-		s.Add(ga(i*64), uint64(100-i)) // ga(0) hottest
+		s.Add(ga(i*64), uint64(20-i)) // ga(0) hottest
 	}
 	p := Policy{BudgetBytes: 3 * 64, MinWeight: 1}
 	promote, demote := p.Plan(s, sizeConst(64), nil)

@@ -1,7 +1,8 @@
 package hotness
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"gengar/internal/region"
 )
@@ -34,85 +35,131 @@ func DefaultPolicy(budgetBytes int64) Policy {
 	return Policy{BudgetBytes: budgetBytes, MinWeight: 4, Hysteresis: 1.25}
 }
 
-// Plan computes the promotions and demotions that transform the current
-// promoted set into the budgeted hottest set from the sketch.
+// outranks reports whether challenger c displaces incumbent w: its
+// weight must exceed the incumbent's boosted by the hysteresis factor
+// (ties go to the lower address).
+func outranks(c, w *ssItem, hysteresis float64) bool {
+	cr, wr := float64(c.count), float64(w.count)*hysteresis
+	if cr != wr {
+		return cr > wr
+	}
+	return c.addr < w.addr
+}
+
+// Rebalance runs one promotion round on the sketch's resident marks and
+// appends the objects that have to move to promote (hottest first) and
+// demote (coldest first). The sketch already reflects the moves when it
+// returns; the caller carries them out and takes back, with
+// ClearResident, any promotion it could not perform.
+//
+// Orphans and incumbents that fell below MinWeight or no longer fit the
+// budget are demoted. Then the strongest challenger of at least
+// MinWeight is promoted for as long as it fits the free budget, or fits
+// once incumbents it outranks are demoted, coldest first; the round
+// ends at the first challenger that does neither, or after MaxChurn
+// moves in either direction. The cost is O(log k) per object moved and
+// nothing is allocated once the two slices have grown to MaxChurn.
+//
+// sizeOf must return the footprint of an object's copy in bytes, or a
+// non-positive value if the object no longer exists. Challengers that
+// no longer exist, or are larger than the whole budget, can never be
+// cached and are dropped from the sketch.
+func (p Policy) Rebalance(s *SpaceSaving, sizeOf func(region.GAddr) int64, promote, demote []region.GAddr) ([]region.GAddr, []region.GAddr) {
+	hys := math.Max(p.Hysteresis, 1)
+	maxPromote, maxDemote := math.MaxInt, math.MaxInt
+	if p.MaxChurn > 0 {
+		maxPromote, maxDemote = len(promote)+p.MaxChurn, len(demote)+p.MaxChurn
+	}
+
+	n := min(len(s.orphans), maxDemote-len(demote))
+	demote = append(demote, s.orphans[:n]...)
+	s.orphans = s.orphans[:copy(s.orphans, s.orphans[n:])]
+	for len(demote) < maxDemote {
+		w := s.residents.top()
+		if w == nil || (w.count >= p.MinWeight && s.residentBytes <= p.BudgetBytes) {
+			break
+		}
+		demote = append(demote, w.addr)
+		s.setResident(w, false)
+	}
+
+	for len(promote) < maxPromote {
+		c := s.hot.top()
+		if c == nil || c.count < p.MinWeight {
+			break
+		}
+		c.size = sizeOf(c.addr)
+		if c.size <= 0 || c.size > p.BudgetBytes {
+			s.forget(c)
+			continue
+		}
+		evicted := len(demote)
+		for s.residentBytes+c.size > p.BudgetBytes && len(demote) < maxDemote {
+			w := s.residents.top()
+			if w == nil || !outranks(c, w, hys) {
+				break
+			}
+			demote = append(demote, w.addr)
+			s.setResident(w, false)
+		}
+		if s.residentBytes+c.size > p.BudgetBytes {
+			// c does not get in: the incumbents it would have displaced stay.
+			for _, a := range demote[evicted:] {
+				s.setResident(s.items[a], true)
+			}
+			demote = demote[:evicted]
+			break
+		}
+		promote = append(promote, c.addr)
+		s.setResident(c, true)
+	}
+	return promote, demote
+}
+
+// Plan computes the promotions and demotions that move the promoted set
+// toward the budgeted hottest set from the sketch: Rebalance, for
+// callers that keep the promoted set themselves. It costs O(len(promoted))
+// on top of the round, marks the sketch, and drops from it what
+// Rebalance drops.
 //
 // sizeOf must return the object's size in bytes, or a non-positive value
 // if the object no longer exists (it is then skipped for promotion, and
 // demoted if currently promoted). The returned slices are disjoint and
 // deterministic for a given sketch state.
 func (p Policy) Plan(sketch *SpaceSaving, sizeOf func(region.GAddr) int64, promoted map[region.GAddr]bool) (promote, demote []region.GAddr) {
-	type cand struct {
-		addr region.GAddr
-		rank float64
-		size int64
-	}
-	hys := p.Hysteresis
-	if hys < 1 {
-		hys = 1
-	}
+	sketch.syncResidents(sizeOf, promoted)
+	return p.Rebalance(sketch, sizeOf, nil, nil)
+}
 
-	// Rank every sketch entry, boosting incumbents.
-	var cands []cand
-	for _, c := range sketch.Top(-1) {
-		if c.Count < p.MinWeight {
+// syncResidents makes the sketch's resident marks say what promoted
+// says. Promoted objects the sketch does not track, or that no longer
+// exist, become the round's orphans.
+func (s *SpaceSaving) syncResidents(sizeOf func(region.GAddr) int64, promoted map[region.GAddr]bool) {
+	var gone []*ssItem
+	for _, it := range s.residents.a {
+		if !promoted[it.addr] {
+			gone = append(gone, it)
+		}
+	}
+	for _, it := range gone {
+		s.setResident(it, false)
+	}
+	s.orphans = s.orphans[:0]
+	for addr, is := range promoted {
+		if !is {
 			continue
 		}
-		size := sizeOf(c.Addr)
-		if size <= 0 {
-			continue
-		}
-		rank := float64(c.Count)
-		if promoted[c.Addr] {
-			rank *= hys
-		}
-		cands = append(cands, cand{addr: c.Addr, rank: rank, size: size})
-	}
-	// Re-sort by boosted rank, keeping the deterministic address
-	// tie-break from Top.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].rank != cands[j].rank {
-			return cands[i].rank > cands[j].rank
-		}
-		return cands[i].addr < cands[j].addr
-	})
-
-	target := make(map[region.GAddr]bool, len(cands))
-	var used int64
-	for _, c := range cands {
-		if used+c.size > p.BudgetBytes {
-			continue // try smaller objects further down
-		}
-		target[c.addr] = true
-		used += c.size
-	}
-
-	for _, c := range cands {
-		if target[c.addr] && !promoted[c.addr] {
-			promote = append(promote, c.addr)
+		it, size := s.items[addr], sizeOf(addr)
+		switch {
+		case it == nil || size <= 0:
+			s.orphans = append(s.orphans, addr)
+			if it != nil {
+				s.setResident(it, false)
+			}
+		case !it.resident:
+			it.size = size
+			s.setResident(it, true)
 		}
 	}
-	for addr := range promoted {
-		if !target[addr] {
-			demote = append(demote, addr)
-		}
-	}
-	// Demote coldest-first so a capped plan sheds the least valuable
-	// copies; ties break by address for determinism.
-	sort.Slice(demote, func(i, j int) bool {
-		wi, wj := sketch.Estimate(demote[i]), sketch.Estimate(demote[j])
-		if wi != wj {
-			return wi < wj
-		}
-		return demote[i] < demote[j]
-	})
-	if p.MaxChurn > 0 {
-		if len(promote) > p.MaxChurn {
-			promote = promote[:p.MaxChurn]
-		}
-		if len(demote) > p.MaxChurn {
-			demote = demote[:p.MaxChurn]
-		}
-	}
-	return promote, demote
+	slices.Sort(s.orphans)
 }

@@ -103,18 +103,29 @@ type Obs struct {
 	Write bool
 }
 
-// AggregateObs folds a staged observation buffer into per-object digest
-// entries, preserving first-seen order. It runs once per digest, off
-// the per-op path.
-func AggregateObs(obs []Obs) []Entry {
-	idx := make(map[region.GAddr]int, len(obs))
-	out := make([]Entry, 0, len(obs))
+// Aggregator folds staged observation buffers into per-object digest
+// entries, reusing its index and entry slice from one digest to the
+// next. The zero value is ready to use; it is not safe for concurrent
+// use.
+type Aggregator struct {
+	idx map[region.GAddr]int
+	out []Entry
+}
+
+// Fold returns obs as per-object entries in first-seen order. The
+// result is valid until the next Fold.
+func (a *Aggregator) Fold(obs []Obs) []Entry {
+	if a.idx == nil {
+		a.idx = make(map[region.GAddr]int, len(obs))
+	}
+	clear(a.idx)
+	out := a.out[:0]
 	for _, o := range obs {
-		i, ok := idx[o.Addr]
+		i, ok := a.idx[o.Addr]
 		if !ok {
 			i = len(out)
 			out = append(out, Entry{Addr: o.Addr})
-			idx[o.Addr] = i
+			a.idx[o.Addr] = i
 		}
 		if o.Write {
 			out[i].Writes++
@@ -122,5 +133,13 @@ func AggregateObs(obs []Obs) []Entry {
 			out[i].Reads++
 		}
 	}
+	a.out = out
 	return out
+}
+
+// AggregateObs folds a staged observation buffer into per-object digest
+// entries, preserving first-seen order: one Fold of a fresh Aggregator.
+func AggregateObs(obs []Obs) []Entry {
+	var a Aggregator
+	return a.Fold(obs)
 }

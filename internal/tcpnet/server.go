@@ -392,6 +392,14 @@ type session struct {
 	// make it effectively uncontended.
 	stagedMu sync.Mutex
 	staged   []hotness.Obs
+
+	// One digest at a time (digesting, under stagedMu): the digest in
+	// flight owns spare, the buffer it swapped staged for, and agg, the
+	// scratch it folds into, so a digest allocates nothing once they
+	// have grown. Observations that arrive meanwhile stay in staged.
+	digesting bool
+	spare     []hotness.Obs
+	agg       hotness.Aggregator
 }
 
 // maxStagingChunk caps the staging buffer a session allocates up front:
@@ -404,7 +412,7 @@ func newStaging(digestEvery int) []hotness.Obs {
 }
 
 func (s *PoolServer) openSession() *session {
-	sess := &session{id: s.sessions.Add(1), srv: s, staged: newStaging(s.cfg.DigestEvery)}
+	sess := &session{id: s.sessions.Add(1), srv: s, staged: newStaging(s.cfg.DigestEvery), spare: newStaging(s.cfg.DigestEvery)}
 	if !s.eng.Features().Proxy {
 		return sess
 	}
@@ -447,17 +455,22 @@ func (sess *session) observe(addr region.GAddr, write bool) {
 	}
 	sess.stagedMu.Lock()
 	sess.staged = append(sess.staged, hotness.Obs{Addr: addr, Write: write})
-	if len(sess.staged) < sess.srv.cfg.DigestEvery {
+	if len(sess.staged) < sess.srv.cfg.DigestEvery || sess.digesting {
 		sess.stagedMu.Unlock()
 		return
 	}
+	sess.digesting = true
 	batch := sess.staged
-	sess.staged = newStaging(sess.srv.cfg.DigestEvery)
+	sess.staged = sess.spare[:0]
 	sess.stagedMu.Unlock()
 	// Aggregation and the digest run outside the staging lock, so a
 	// concurrent op only ever waits on the append above.
 	eng := sess.srv.eng
-	eng.Digest(eng.Now(), hotness.AggregateObs(batch))
+	eng.Digest(eng.Now(), sess.agg.Fold(batch))
+	sess.stagedMu.Lock()
+	sess.spare = batch
+	sess.digesting = false
+	sess.stagedMu.Unlock()
 }
 
 // serveConn runs one connection: a buffered read loop feeding a
@@ -465,11 +478,12 @@ func (sess *session) observe(addr region.GAddr, write bool) {
 // response frames per writev.
 //
 // Dispatch rule: ops that cannot park — read, write with ring credit,
-// digest, version, stats, malloc, unlock, hello — are handled inline on
-// the read goroutine, so the common path spawns nothing. Ops that can
-// park (lock acquires waiting out contention, frees draining staged
-// writes, writes facing staging-ring backpressure) get a goroutine so
-// a parked request never stalls the connection's other traffic.
+// digest, version, stats, malloc, unlock with nothing staged, hello —
+// are handled inline on the read goroutine, so the common path spawns
+// nothing. Ops that can park (lock acquires waiting out contention,
+// frees and exclusive unlocks draining staged writes, writes facing
+// staging-ring backpressure) get a goroutine so a parked request never
+// stalls the connection's other traffic.
 //
 // A response-write failure poisons the frame queue, which severs the
 // connection; the read loop then unwinds and tears down the session —
@@ -520,15 +534,19 @@ func (s *PoolServer) serveConn(conn net.Conn) {
 }
 
 // parks reports whether an op may block the handling goroutine: lock
-// acquires wait out contention, frees drain the session's staged
-// writes, and stages park when the ring is out of credits. The credit
-// probe is advisory — a concurrent stage can still win the last slot —
-// so an inline write may briefly wait on the flusher; that is bounded
-// and deadlock-free (the flusher runs independently).
+// acquires wait out contention, frees and exclusive unlocks drain the
+// session's staged writes, and stages park when the ring is out of
+// credits. An unlock with nothing staged has nothing to wait for and
+// stays inline. The credit probe is advisory — a concurrent stage can
+// still win the last slot — so an inline write may briefly wait on the
+// flusher; that is bounded and deadlock-free (the flusher runs
+// independently).
 func parks(sess *session, op Op, payload []byte) bool {
 	switch op {
 	case OpLockEx, OpLockSh, OpFree:
 		return true
+	case OpUnlockEx:
+		return sess.writer != nil && sess.writer.PendingCount() > 0
 	case OpWrite:
 		return sess.writer != nil && sess.writer.FreeSlots() < 1
 	case OpWriteBatch:
@@ -802,6 +820,14 @@ func (s *PoolServer) handle(sess *session, op Op, req *payloadReader, sp *span.S
 		addr, err := s.homeAddr(req)
 		if err != nil {
 			return nil, err
+		}
+		// Publish before release: the next holder reads NVM (and overlays
+		// only its own pending records), so this session's staged writes
+		// must have landed there before the lease goes — what
+		// core.Client.UnlockExclusive does on the sim mount. The release
+		// itself bumps the version word (Engine.New, OnWriterRelease).
+		if sess.writer != nil {
+			sess.writer.Drain()
 		}
 		return nil, s.eng.Leases().UnlockExclusive(sess.id, addr)
 

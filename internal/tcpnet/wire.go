@@ -355,10 +355,14 @@ const connReadBuf = 64 << 10
 type frameReader struct {
 	br   *bufio.Reader
 	pool *framePool
+	// hdr receives each frame's length prefix. It lives here because a
+	// local would escape through io.ReadFull and cost one heap
+	// allocation per frame.
+	hdr [4]byte
 }
 
-func newFrameReader(conn io.Reader, pool *framePool) frameReader {
-	return frameReader{br: bufio.NewReaderSize(conn, connReadBuf), pool: pool}
+func newFrameReader(conn io.Reader, pool *framePool) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(conn, connReadBuf), pool: pool}
 }
 
 // read receives one message. On success the returned frame owns the
@@ -370,11 +374,10 @@ func newFrameReader(conn io.Reader, pool *framePool) frameReader {
 //
 //gengar:hotpath
 func (r *frameReader) read() (id uint64, tag uint8, frame *[]byte, payload []byte, ext traceExt, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
 		return 0, 0, nil, nil, traceExt{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(r.hdr[:])
 	if n < 9 || n > maxFrame {
 		return 0, 0, nil, nil, traceExt{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}

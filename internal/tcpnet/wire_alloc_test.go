@@ -208,3 +208,33 @@ func TestEnqueueFlushAllocs(t *testing.T) {
 		t.Fatalf("enqueue→flush: %.1f allocs per cycle, want 0", avg)
 	}
 }
+
+// TestFrameReadAllocs gates the receive half of a round trip at zero
+// allocations per frame: the body comes from the frame pool and the
+// length prefix is read into the reader itself (a local prefix escapes
+// through io.ReadFull and costs one per frame, on both ends).
+func TestFrameReadAllocs(t *testing.T) {
+	q, pool, peer := loopbackQueue(t)
+	r := newFrameReader(peer, pool)
+	payload := bytes.Repeat([]byte{0xa7}, 200)
+	cycle := func() {
+		f, err := pool.encodeFrame(1, statusOK, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := q.enqueue(f); err != nil {
+			t.Fatal(err)
+		}
+		_, _, frame, got, _, err := r.read()
+		if err != nil || len(got) != len(payload) {
+			t.Fatalf("read: %d bytes, %v", len(got), err)
+		}
+		pool.put(frame)
+	}
+	for i := 0; i < 64; i++ { // warm the frame pool and both queue slices
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(500, cycle); avg != 0 {
+		t.Fatalf("enqueue→flush→read: %.1f allocs per frame, want 0", avg)
+	}
+}

@@ -152,6 +152,33 @@ func TestEnqueueFlushCycle(t *testing.T) {
 	}
 }
 
+// TestFrameReadCycle is the race-mode twin of TestFrameReadAllocs:
+// single frames through enqueue, the writev, and the frame reader on
+// the peer end, one at a time, id, tag and payload intact.
+func TestFrameReadCycle(t *testing.T) {
+	q, pool, peer := loopbackQueue(t)
+	r := newFrameReader(peer, pool)
+	payload := bytes.Repeat([]byte{0xa7}, 200)
+	for i := 0; i < 200; i++ {
+		payload[0] = byte(i)
+		f, err := pool.encodeFrame(uint64(i+1), statusOK, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := q.enqueue(f); err != nil {
+			t.Fatal(err)
+		}
+		id, tag, frame, got, _, err := r.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != uint64(i+1) || tag != statusOK || !bytes.Equal(got, payload) {
+			t.Fatalf("frame %d: read id %d tag %d and different bytes", i, id, tag)
+		}
+		pool.put(frame)
+	}
+}
+
 // TestAbortDrainsClaimedWaiter covers the start/failAll race: when a
 // request's send fails because the connection died, failAll may already
 // have claimed its id and sent a failure into the waiter channel. The
