@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fast test race race-short bench bench-full bench-wire bench-scale bench-cluster bench-interference bench-repo fuzz-wire e2e e2e-cluster trace-e2e quick tidy clean
+.PHONY: all build vet lint test race race-short bench bench-full bench-wire bench-scale bench-cluster bench-interference bench-repo fuzz-wire e2e e2e-cluster trace-e2e quick tidy clean
 
 all: vet lint build test
 
@@ -10,18 +10,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific invariant analyzers (locks across blocking ops, WQE
-# buffer aliasing, telemetry hygiene, hotpath allocations, dropped
-# errors, and the concurrency-protocol suite: atomic-mixed-access,
-# cow-snapshot, seqlock-protocol, lock-order). Exits non-zero on any
-# finding; see DESIGN.md "Static analysis" for the suppression syntax.
+# Repo-specific invariant analyzers: locks held across blocking ops,
+# allocations and clock reads in //gengar:hotpath functions, dropped
+# errors from the pool APIs. Exits non-zero on any finding; see DESIGN.md
+# "Static analysis" for the suppression syntax.
 lint:
 	$(GO) run ./cmd/gengar-lint ./...
-
-# Pre-commit subset: just the two cheapest analyzers (single-function
-# scans, no cross-package fact building), for a fast local signal.
-lint-fast:
-	$(GO) run ./cmd/gengar-lint -only hotpath-alloc,errcheck-core ./...
 
 test:
 	$(GO) test ./...

@@ -1,22 +1,17 @@
 // Command gengar-lint runs the Gengar invariant analyzers (see
 // internal/analysis) over the module: lock-across-blocking,
-// wqe-aliasing, telemetry-hygiene, hotpath-alloc, errcheck-core, and
-// the concurrency-protocol suite (atomic-mixed-access, cow-snapshot,
-// seqlock-protocol, lock-order), plus validation of
+// hotpath-alloc and errcheck-core, plus validation of
 // //gengar:lint-ignore directives themselves.
 //
 // Usage:
 //
-//	gengar-lint [-json] [-C dir] [-only analyzer,...] [packages]
+//	gengar-lint [-json] [-C dir] [packages]
 //
 // Packages are go-list patterns resolved against the module root and
 // default to ./... (e.g. `gengar-lint ./internal/engine/...` checks one
-// subtree). -only restricts the run to a comma-separated subset of
-// analyzers (see -h for the registry); directive validation always
-// checks names against the full registry, so -only never misreports a
-// valid suppression. Exit status: 0 clean, 1 findings, 2 operational
-// error. With -json each finding is one JSON object on its own line
-// (file, line, col, analyzer, message) for CI annotation.
+// subtree). Exit status: 0 clean, 1 findings, 2 operational error. With
+// -json each finding is one JSON object on its own line (file, line,
+// col, analyzer, message) for CI annotation.
 package main
 
 import (
@@ -24,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"gengar/internal/analysis"
 )
@@ -35,7 +29,7 @@ func main() {
 
 func usage() {
 	out := flag.CommandLine.Output()
-	fmt.Fprintf(out, "usage: gengar-lint [-json] [-C dir] [-only analyzer,...] [packages]\n\n")
+	fmt.Fprintf(out, "usage: gengar-lint [-json] [-C dir] [packages]\n\n")
 	fmt.Fprintf(out, "Packages are go-list patterns (default ./...), resolved against the module root.\n\n")
 	flag.PrintDefaults()
 	fmt.Fprintf(out, "\nanalyzers:\n")
@@ -49,36 +43,10 @@ func run() int {
 	var (
 		jsonOut = flag.Bool("json", false, "emit findings as JSON lines")
 		dir     = flag.String("C", ".", "module directory to analyze")
-		only    = flag.String("only", "", "comma-separated analyzers to run (default: all)")
 	)
 	flag.Usage = usage
 	flag.Parse()
 	patterns := flag.Args()
-
-	suite := analysis.Analyzers()
-	if *only != "" {
-		byName := make(map[string]*analysis.Analyzer, len(suite))
-		for _, a := range suite {
-			byName[a.Name] = a
-		}
-		suite = nil
-		for _, name := range strings.Split(*only, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			a := byName[name]
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "gengar-lint: unknown analyzer %q (see -h for the registry)\n", name)
-				return 2
-			}
-			suite = append(suite, a)
-		}
-		if len(suite) == 0 {
-			fmt.Fprintf(os.Stderr, "gengar-lint: -only selected no analyzers\n")
-			return 2
-		}
-	}
 
 	loader, err := analysis.NewLoader(*dir)
 	if err != nil {
@@ -90,7 +58,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "gengar-lint: %v\n", err)
 		return 2
 	}
-	findings := analysis.Run(pkgs, suite)
+	findings := analysis.Run(pkgs)
 	if len(findings) == 0 {
 		return 0
 	}

@@ -461,7 +461,7 @@ func renderTrace(w io.Writer, recs []span.Record) {
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w)
-	fmt.Fprintln(tw, "TRACE\tOP\tSIDE\tTOTAL\tSTAGES")
+	fmt.Fprintln(tw, "TRACE\tOP\tOBJECT\tSIDE\tTOTAL\tSTAGES")
 	for _, r := range recs {
 		parts := make([]string, 0, len(r.Stages))
 		for _, s := range r.Stages {
@@ -470,8 +470,12 @@ func renderTrace(w io.Writer, recs []span.Record) {
 		if r.Dropped > 0 {
 			parts = append(parts, fmt.Sprintf("(+%d dropped)", r.Dropped))
 		}
-		fmt.Fprintf(tw, "%016x\t%s\t%s\t%s\t%s\n",
-			r.TraceID, r.Op, r.Side, time.Duration(r.TotalNanos), strings.Join(parts, " "))
+		object := "-" // only single-object ops (read, write) name a target
+		if r.Addr != 0 {
+			object = fmt.Sprintf("%#x+%d", r.Addr, r.Len)
+		}
+		fmt.Fprintf(tw, "%016x\t%s\t%s\t%s\t%s\t%s\n",
+			r.TraceID, r.Op, object, r.Side, time.Duration(r.TotalNanos), strings.Join(parts, " "))
 	}
 	tw.Flush()
 }

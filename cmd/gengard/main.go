@@ -57,8 +57,7 @@ func run() error {
 		lease       = flag.Duration("lease", 5*time.Second, "default lock lease")
 		lockWait    = flag.Duration("lock-wait", 2*time.Second, "lock acquire timeout")
 		dataFile    = flag.String("data", "", "snapshot file: restored on start if present, written on shutdown")
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /healthz, /debug/events and /debug/trace on this address (empty disables)")
-		nagle       = flag.Bool("nagle", false, "re-enable Nagle's algorithm on accepted connections (default sets TCP_NODELAY)")
+		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/trace on this address (empty disables)")
 		keepAlive   = flag.Duration("keepalive", 0, "TCP keep-alive probe period on accepted connections (0 selects 30s, negative disables)")
 		traceSample = flag.Int("trace-sample", 64, "trace one in N server-initiated ops (0 disables local sampling; client-sampled ops are always traced)")
 		traceSlow   = flag.Duration("trace-slow", time.Millisecond, "retain traced ops at least this slow in the /debug/trace ring (0 retains all)")
@@ -80,7 +79,6 @@ func run() error {
 		Peers:          splitPeers(*peers),
 		DefaultLease:   *lease,
 		AcquireTimeout: *lockWait,
-		Nagle:          *nagle,
 		KeepAlive:      *keepAlive,
 		TraceSample:    *traceSample,
 		TraceSlow:      *traceSlow,
@@ -112,9 +110,9 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
 		}
-		log.Printf("gengard: debug endpoints on http://%s/{metrics,metrics.json,healthz,debug/events,debug/trace}", dlis.Addr())
+		log.Printf("gengard: debug endpoints on http://%s/{metrics,metrics.json,healthz,debug/trace}", dlis.Addr())
 		mux := http.NewServeMux()
-		mux.Handle("/", telemetry.Handler(srv.Telemetry(), srv.Recorder()))
+		mux.Handle("/", telemetry.Handler(srv.Telemetry()))
 		mux.Handle("/debug/trace", span.Handler(srv.Tracer()))
 		if *pprofOn {
 			// Off by default: profiling endpoints expose internals and
@@ -170,15 +168,14 @@ func splitPeers(s string) []string {
 // telemetry snapshot as it exits.
 func logFinalStats(srv *tcpnet.PoolServer, uptime time.Duration) {
 	s := srv.Telemetry().Snapshot()
-	log.Printf("gengard: final stats: uptime=%s ops=%d rx_bytes=%d tx_bytes=%d failures=%d objects=%d pool_used=%d events=%d",
+	log.Printf("gengard: final stats: uptime=%s ops=%d rx_bytes=%d tx_bytes=%d failures=%d objects=%d pool_used=%d",
 		uptime.Round(time.Millisecond),
 		s.Sum("gengar_tcp_ops_total"),
 		s.Sum("gengar_tcp_rx_bytes_total"),
 		s.Sum("gengar_tcp_tx_bytes_total"),
 		s.Sum("gengar_tcp_failures_total"),
 		s.Sum("gengar_tcp_objects"),
-		s.Sum("gengar_tcp_pool_used_bytes"),
-		srv.Recorder().Total())
+		s.Sum("gengar_tcp_pool_used_bytes"))
 	es := srv.Engine().Stats()
 	log.Printf("gengard: engine stats: cache_hits=%d peer_hits=%d cache_misses=%d staged=%d flushed=%d promotions=%d demotions=%d promoted=%d digests=%d remap_epoch=%d",
 		es.Hits, es.PeerHits, es.Misses, es.Proxy.Staged, es.Proxy.Flushed,

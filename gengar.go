@@ -147,11 +147,6 @@ func (p *Pool) Settle() error {
 // telemetry.Handler.
 func (p *Pool) Telemetry() *telemetry.Registry { return p.cluster.Telemetry() }
 
-// FlightRecorder returns the pool's ring of recent operation events
-// (reads, writes, mallocs, frees with their serving path and simulated
-// latency), dumpable as JSONL.
-func (p *Pool) FlightRecorder() *telemetry.FlightRecorder { return p.cluster.Recorder() }
-
 // Cluster exposes the underlying cluster for the in-repo benchmark
 // harness; applications should not need it.
 func (p *Pool) Cluster() *server.Cluster { return p.cluster }

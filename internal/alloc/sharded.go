@@ -68,8 +68,7 @@ type ShardedPool struct {
 	slabOrder uint
 	maxClass  uint // largest slab-served slot order
 
-	mu sync.Mutex // serializes slab index writers
-	//gengar:guardedby mu
+	mu        sync.Mutex                      // serializes slab index writers
 	slabIndex atomic.Pointer[map[int64]*slab] // slab base -> slab
 	parentB   atomic.Int64                    // bytes held by slab parents
 }

@@ -1,36 +1,22 @@
 // Package analysis is gengar-lint's engine: a stdlib-only static
 // analysis driver (go/parser + go/ast + go/types, no x/tools) that
-// loads every package in the module and runs a suite of Gengar-specific
-// invariant analyzers over them.
-//
-// The analyzers machine-check the invariants the compiler cannot see
-// and that code review has so far enforced by hand:
+// loads every package in the module and runs three Gengar-specific
+// analyzers over them — the rules that have led to code fixes and that
+// no dynamic test covers:
 //
 //   - lock-across-blocking: a sync.Mutex/RWMutex must not be held
 //     across a wall-clock blocking operation (a call into tcpnet/rpc, a
 //     channel send or receive, an RDMA post) — the availability hazard
 //     of a stalled peer freezing every caller of the lock.
-//   - wqe-aliasing: a payload buffer staged into a posted WQE must not
-//     be mutated, returned to a pool, or reused before the posting call
-//     completes and its result is observed.
-//   - telemetry-hygiene: no package-level registries, no unbounded
-//     label values, no double registration.
 //   - hotpath-alloc: functions annotated //gengar:hotpath must not call
 //     time.Now or fmt.Sprint*, and must not allocate outside pooled or
 //     amortized storage.
 //   - errcheck-core: errors returned by core/proxy/rdma (and the other
 //     pool APIs) must not be silently discarded.
-//   - atomic-mixed-access: a word accessed through sync/atomic or the
-//     hmem word APIs anywhere must be accessed that way everywhere.
-//   - cow-snapshot: //gengar:guardedby-annotated atomic.Pointer fields
-//     are Store'd only under their declared writer mutex, and pointers
-//     obtained via Load are never written through.
-//   - seqlock-protocol: writers CAS the copy seq word odd before data
-//     stores and store even after; readers re-load and compare the seq
-//     word before trusting a copy.
-//   - lock-order: the interprocedural mutex-acquisition graph contains
-//     no cycles and no inversions of the blessed hierarchy
-//     (lockhierarchy.go, //gengar:lockorder).
+//
+// Concurrency protocols (seqlock, COW publication, atomic access, lock
+// order) are checked dynamically under -race; DESIGN.md "Static
+// analysis" lists which test covers which property.
 //
 // A finding is suppressed with an explicit, reasoned annotation:
 //
@@ -73,7 +59,6 @@ type Analyzer struct {
 // Pass is the per-package context handed to each analyzer.
 type Pass struct {
 	Pkg      *Package
-	Facts    *Facts // batch-wide guarded-field facts (nil outside Run)
 	suppress *suppressions
 }
 
@@ -103,61 +88,27 @@ func (p *Pass) SuppressedAt(analyzer string, pos token.Pos) bool {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		lockAcrossBlocking,
-		wqeAliasing,
-		telemetryHygiene,
-		hotpathAlloc,
-		errcheckCore,
-		atomicMixedAccess,
-		cowSnapshot,
-		seqlockProtocol,
-		lockOrder,
-	}
-}
-
-// FastAnalyzers returns the cheap subset run by `make lint-fast`:
-// single-pass AST scans with no fact layer or interprocedural closure
-// behind them.
-func FastAnalyzers() []*Analyzer {
-	return []*Analyzer{
 		hotpathAlloc,
 		errcheckCore,
 	}
 }
 
-// AnalyzerNames returns the names of the full suite plus the pseudo
-// analyzer that reports broken ignore directives.
-func AnalyzerNames() []string {
-	names := []string{ignoreAnalyzerName}
-	for _, a := range Analyzers() {
-		names = append(names, a.Name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Run applies the analyzers to the packages, filters findings through
-// the suppression directives, and appends a finding for every broken
+// Run applies the suite to the packages, filters findings through the
+// suppression directives, and appends a finding for every broken
 // directive (missing reason, unknown analyzer name) and every stale one
-// (a well-formed directive that suppressed nothing). Directive names
-// are validated against the FULL registry, not the subset being run, so
-// a -only invocation does not misreport a valid suppression as unknown;
-// symmetrically, staleness is only audited for analyzers that actually
-// ran. Results are sorted by position.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
+// (a well-formed directive that suppressed nothing). Results are sorted
+// by position.
+func Run(pkgs []*Package) []Finding {
+	suite := Analyzers()
 	known := make(map[string]bool)
-	for _, a := range Analyzers() {
+	for _, a := range suite {
 		known[a.Name] = true
 	}
-	ran := make(map[string]bool)
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
-	facts := computeFacts(pkgs)
 	var out []Finding
 	for _, pkg := range pkgs {
 		sup := collectSuppressions(pkg)
-		pass := &Pass{Pkg: pkg, Facts: facts, suppress: sup}
-		for _, a := range analyzers {
+		pass := &Pass{Pkg: pkg, suppress: sup}
+		for _, a := range suite {
 			for _, f := range a.Run(pass) {
 				if sup.covers(a.Name, f.Pos) {
 					continue
@@ -165,8 +116,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 				out = append(out, f)
 			}
 		}
-		out = append(out, sup.brokenDirectives(pkg, known)...)
-		out = append(out, sup.staleDirectives(ran)...)
+		out = append(out, sup.directiveFindings(known)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {

@@ -86,53 +86,23 @@ func collectExpectations(t *testing.T, pkg *Package) []*expectation {
 	return out
 }
 
-// TestGoldenCorpus runs each analyzer over its seeded-violation corpus
+// TestGoldenCorpus runs the suite over each seeded-violation corpus
 // under testdata/src and checks the findings against the want comments
 // — both directions: every want must be hit, every finding must be
 // wanted.
 func TestGoldenCorpus(t *testing.T) {
-	byName := make(map[string]*Analyzer)
-	for _, a := range Analyzers() {
-		byName[a.Name] = a
-	}
-	cases := []struct {
-		dir       string
-		analyzers []string // nil = full suite
-	}{
-		{"lockblock", []string{"lock-across-blocking"}},
-		{"wqealias", []string{"wqe-aliasing"}},
-		{"telemetryhygiene", []string{"telemetry-hygiene"}},
-		{"hotpath", []string{"hotpath-alloc"}},
-		{"errcheck", []string{"errcheck-core"}},
-		{"atomicmixed", []string{"atomic-mixed-access"}},
-		{"cowsnapshot", []string{"cow-snapshot"}},
-		{"seqlock", []string{"seqlock-protocol"}},
-		{"lockorder", []string{"lock-order"}},
-		{"ignore", nil},
-	}
 	loader := sharedLoader(t)
-	for _, tc := range cases {
-		t.Run(tc.dir, func(t *testing.T) {
-			dir := filepath.Join(moduleRoot(t), "internal", "analysis", "testdata", "src", tc.dir)
+	for _, corpus := range []string{"lockblock", "hotpath", "errcheck", "ignore"} {
+		t.Run(corpus, func(t *testing.T) {
+			dir := filepath.Join(moduleRoot(t), "internal", "analysis", "testdata", "src", corpus)
 			pkg, err := loader.LoadDir(dir)
 			if err != nil {
 				t.Fatalf("LoadDir(%s): %v", dir, err)
 			}
-			suite := Analyzers()
-			if tc.analyzers != nil {
-				suite = nil
-				for _, name := range tc.analyzers {
-					a := byName[name]
-					if a == nil {
-						t.Fatalf("unknown analyzer %q", name)
-					}
-					suite = append(suite, a)
-				}
-			}
-			findings := Run([]*Package{pkg}, suite)
+			findings := Run([]*Package{pkg})
 			expects := collectExpectations(t, pkg)
 			if len(expects) == 0 {
-				t.Fatalf("corpus %s has no want comments", tc.dir)
+				t.Fatalf("corpus %s has no want comments", corpus)
 			}
 			for _, f := range findings {
 				ok := false
@@ -166,7 +136,7 @@ func TestSeededCorpusFailsTheDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run([]*Package{pkg}, Analyzers())
+	findings := Run([]*Package{pkg})
 	if len(findings) == 0 {
 		t.Fatal("seeded corpus produced no findings; the lint gate would pass vacuously")
 	}
@@ -198,7 +168,7 @@ func TestRepoRunsClean(t *testing.T) {
 		t.Fatalf("loaded only %d packages; loader is missing the module", len(pkgs))
 	}
 	var msgs []string
-	for _, f := range Run(pkgs, Analyzers()) {
+	for _, f := range Run(pkgs) {
 		msgs = append(msgs, f.String())
 	}
 	if len(msgs) > 0 {

@@ -93,12 +93,6 @@ func NewLoader(root string) (*Loader, error) {
 	return l, nil
 }
 
-// ModulePath returns the module's import path prefix.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load type-checks every module package matched by the patterns (the
 // usual go tool patterns; "./..." loads the whole module) and returns
 // them in import-path order. Test files are not loaded: the analyzers

@@ -89,66 +89,36 @@ func (s *suppressions) covers(analyzer string, pos token.Position) bool {
 	return hit
 }
 
-// brokenDirectives reports findings for directives missing a reason or
-// naming an analyzer that does not exist (a typo would otherwise
-// silently suppress nothing — or worse, the author believes it does).
-func (s *suppressions) brokenDirectives(pkg *Package, known map[string]bool) []Finding {
+// directiveFindings reports the directives that are themselves wrong:
+// missing an analyzer name or a reason, naming an analyzer that does
+// not exist (a typo would otherwise silently suppress nothing — or
+// worse, the author believes it does), or well-formed but stale — they
+// suppressed nothing. Call it after every analyzer has run.
+func (s *suppressions) directiveFindings(known map[string]bool) []Finding {
+	at := func(file string, line, col int, msg string) Finding {
+		return Finding{
+			Analyzer: ignoreAnalyzerName,
+			Pos:      token.Position{Filename: file, Line: line, Column: col},
+			File:     file,
+			Line:     line,
+			Col:      col,
+			Message:  msg,
+		}
+	}
 	var out []Finding
 	for _, d := range s.broken {
-		msg := "lint-ignore directive needs an analyzer name and a reason: //gengar:lint-ignore <analyzer> <reason>"
-		out = append(out, Finding{
-			Analyzer: ignoreAnalyzerName,
-			Pos:      token.Position{Filename: d.pos.Filename, Line: d.pos.Line, Column: d.pos.Column},
-			File:     d.pos.Filename,
-			Line:     d.pos.Line,
-			Col:      d.pos.Column,
-			Message:  msg,
-		})
+		out = append(out, at(d.pos.Filename, d.pos.Line, d.pos.Column,
+			"lint-ignore directive needs an analyzer name and a reason: //gengar:lint-ignore <analyzer> <reason>"))
 	}
 	for key, lines := range s.byKey {
-		name := key[:strings.IndexByte(key, '\x00')]
-		file := key[strings.IndexByte(key, '\x00')+1:]
-		if known[name] {
-			continue
-		}
+		name, file, _ := strings.Cut(key, "\x00")
 		for _, line := range lines {
-			out = append(out, Finding{
-				Analyzer: ignoreAnalyzerName,
-				Pos:      token.Position{Filename: file, Line: line.line, Column: 1},
-				File:     file,
-				Line:     line.line,
-				Col:      1,
-				Message:  "lint-ignore names unknown analyzer " + strconv.Quote(name),
-			})
-		}
-	}
-	return out
-}
-
-// staleDirectives reports well-formed directives that suppressed
-// nothing. Only analyzers that actually ran this invocation are
-// audited, so `-only` subsets never misflag a directive whose analyzer
-// was simply not in the suite.
-func (s *suppressions) staleDirectives(ran map[string]bool) []Finding {
-	var out []Finding
-	for key, lines := range s.byKey {
-		name := key[:strings.IndexByte(key, '\x00')]
-		file := key[strings.IndexByte(key, '\x00')+1:]
-		if !ran[name] {
-			continue
-		}
-		for _, line := range lines {
-			if line.used {
-				continue
+			switch {
+			case !known[name]:
+				out = append(out, at(file, line.line, 1, "lint-ignore names unknown analyzer "+strconv.Quote(name)))
+			case !line.used:
+				out = append(out, at(file, line.line, 1, "lint-ignore for "+name+" suppresses nothing: remove the stale directive"))
 			}
-			out = append(out, Finding{
-				Analyzer: ignoreAnalyzerName,
-				Pos:      token.Position{Filename: file, Line: line.line, Column: 1},
-				File:     file,
-				Line:     line.line,
-				Col:      1,
-				Message:  "lint-ignore for " + name + " suppresses nothing: remove the stale directive",
-			})
 		}
 	}
 	return out

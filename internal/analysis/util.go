@@ -8,7 +8,6 @@ import (
 
 // callee describes the resolved target of a call expression.
 type callee struct {
-	obj     types.Object
 	pkgPath string // defining package ("" for builtins)
 	name    string // function or method name
 	recv    string // receiver named-type name ("" for plain functions)
@@ -40,7 +39,6 @@ func resolveCallee(info *types.Info, call *ast.CallExpr) (callee, bool) {
 	if !ok {
 		return callee{}, false
 	}
-	c.obj = fn
 	c.name = fn.Name()
 	if fn.Pkg() != nil {
 		c.pkgPath = fn.Pkg().Path()
@@ -78,14 +76,6 @@ func namedOf(t types.Type) *types.Named {
 	return named
 }
 
-// pkgTypeOf returns the static type of e in pkg, or nil when untyped.
-func pkgTypeOf(pkg *Package, e ast.Expr) types.Type {
-	if tv, ok := pkg.Info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
 // isNamedType reports whether t (possibly behind a pointer) is the named
 // type pkgPath.name.
 func isNamedType(t types.Type, pkgPath, name string) bool {
@@ -119,33 +109,6 @@ func returnsError(info *types.Info, call *ast.CallExpr) bool {
 		}
 	}
 	return false
-}
-
-// rootObj returns the object of the leftmost identifier of an lvalue-ish
-// expression: buf, buf[i], c.buf, (*c).buf[i:j] all resolve to the
-// object bound to the leftmost identifier.
-func rootObj(info *types.Info, e ast.Expr) types.Object {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			if obj := info.Uses[x]; obj != nil {
-				return obj
-			}
-			return info.Defs[x]
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }
 
 // exprText renders a (small) expression for diagnostics: c.mu, buf.

@@ -144,8 +144,7 @@ func (p *BufferPool) Allocator() *alloc.ShardedPool { return p.buddy }
 // views are built from, takes the writer mutex and is always exactly
 // one epoch's table.
 type RemapTable struct {
-	mu sync.Mutex // serializes Apply and Snapshot
-	//gengar:guardedby mu
+	mu      sync.Mutex // serializes Apply and Snapshot
 	buckets atomic.Pointer[[]remapBucket]
 	epoch   atomic.Uint64
 	n       atomic.Int64

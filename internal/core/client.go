@@ -78,10 +78,6 @@ type Client struct {
 	rr      int
 	closed  bool
 
-	// flight is the cluster's shared operation recorder; every data-path
-	// op appends one structured event.
-	flight *telemetry.FlightRecorder
-
 	// tracer is the cluster's shared op tracer. Ops mark spans with
 	// explicit simulated instants (StartAt/MarkAt/FinishAt), so both
 	// mounts attribute the same stages; sampling off (the default) makes
@@ -121,7 +117,6 @@ func Connect(c *server.Cluster, name string) (*Client, error) {
 		hot:     cfg.Hotness,
 		maxStg:  cfg.MaxProxiedWrite(),
 		poolNVM: cfg.PoolMedia.Kind == hmem.KindNVM,
-		flight:  c.Recorder(),
 		tracer:  c.Tracer(),
 		conns:   make(map[uint16]*serverConn),
 		nodeQPs: make(map[string]*rdma.QP),

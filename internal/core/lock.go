@@ -145,7 +145,7 @@ func (c *Client) ReadOptimistic(addr region.GAddr, buf []byte) error {
 		if v1%2 == 1 {
 			continue // writer in progress
 		}
-		if c.now, _, err = c.readAt(conn, c.now, addr, buf, nil); err != nil {
+		if c.now, err = c.readAt(conn, c.now, addr, buf, nil); err != nil {
 			return err
 		}
 		v2, end, err := conn.locks.ReadVersion(c.now, addr)

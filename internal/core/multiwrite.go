@@ -10,7 +10,6 @@ import (
 	"gengar/internal/rpc"
 	"gengar/internal/server"
 	"gengar/internal/simnet"
-	"gengar/internal/telemetry"
 	"gengar/internal/telemetry/span"
 )
 
@@ -99,7 +98,7 @@ func (c *Client) WriteMulti(addrs []region.GAddr, bufs [][]byte) error {
 			return fmt.Errorf("core: stage batch to server %d: %w", conn.srv.ID(), err)
 		}
 		staged = true
-		c.recordWriteChain(e, start, pathProxyRing, reqs[0].Addr, len(reqs), stageBytes(reqs), conn.writer.PendingCount())
+		c.writeBatchLen.Record(time.Duration(len(reqs)))
 		if e > end {
 			end = e
 		}
@@ -150,7 +149,7 @@ func (c *Client) WriteMulti(addrs []region.GAddr, bufs [][]byte) error {
 			e = simnet.MaxTime(e, rpcEnd)
 			c.coalescedRPCs.Add(int64(len(ents) - 1))
 		}
-		c.recordWriteChain(e, start, pathNVMDirect, region.GAddr(0), len(reqs), writeBytes(reqs), 0)
+		c.writeBatchLen.Record(time.Duration(len(reqs)))
 		if e > end {
 			end = e
 		}
@@ -168,31 +167,4 @@ func (c *Client) WriteMulti(addrs []region.GAddr, bufs [][]byte) error {
 	}
 	c.writeLat.Record(simnet.Duration(end - start))
 	return nil
-}
-
-// recordWriteChain accounts one batched write chain: the batch-length
-// histogram and a flight event carrying the chain's size and path.
-func (c *Client) recordWriteChain(end, start simnet.Time, path string, addr region.GAddr, batch, bytes, ringDepth int) {
-	c.writeBatchLen.Record(time.Duration(batch))
-	c.flight.Record(telemetry.Event{
-		TimeNanos: int64(end), Client: c.name, Op: "write_multi",
-		Addr: uint64(addr), Len: bytes, Path: path,
-		Batch: batch, RingDepth: ringDepth, LatNanos: int64(end.Sub(start)),
-	})
-}
-
-func stageBytes(reqs []proxy.StageReq) int {
-	n := 0
-	for _, r := range reqs {
-		n += len(r.Data)
-	}
-	return n
-}
-
-func writeBytes(reqs []rdma.WriteReq) int {
-	n := 0
-	for _, r := range reqs {
-		n += len(r.Src)
-	}
-	return n
 }

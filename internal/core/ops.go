@@ -10,16 +10,7 @@ import (
 	"gengar/internal/rpc"
 	"gengar/internal/server"
 	"gengar/internal/simnet"
-	"gengar/internal/telemetry"
 	"gengar/internal/telemetry/span"
-)
-
-// Flight-recorder path labels: how an op was served.
-const (
-	pathDRAMCopy  = "dram_copy"  // read redirected to a promoted DRAM copy
-	pathNVM       = "nvm"        // read from the home NVM pool
-	pathProxyRing = "proxy_ring" // write staged into the DRAM ring
-	pathNVMDirect = "nvm_direct" // write straight to NVM (proxy off)
 )
 
 // Malloc allocates size bytes in the pool, choosing home servers
@@ -65,10 +56,6 @@ func (c *Client) mallocOn(serverID uint16, size int64) (region.GAddr, error) {
 		return region.NilGAddr, err
 	}
 	c.now = simnet.MaxTime(c.now, end)
-	c.flight.Record(telemetry.Event{
-		TimeNanos: int64(c.now), Client: c.name, Op: "malloc",
-		Addr: uint64(addr), Len: int(size),
-	})
 	return addr, nil
 }
 
@@ -96,9 +83,6 @@ func (c *Client) Free(addr region.GAddr) error {
 		return err
 	}
 	c.now = simnet.MaxTime(c.now, end)
-	c.flight.Record(telemetry.Event{
-		TimeNanos: int64(c.now), Client: c.name, Op: "free", Addr: uint64(addr),
-	})
 	return nil
 }
 
@@ -118,7 +102,8 @@ func (c *Client) Read(addr region.GAddr, buf []byte) error {
 	}
 	start := c.now
 	sp := c.tracer.StartAt("read", int64(start))
-	end, path, err := c.readAt(conn, start, addr, buf, sp)
+	sp.SetTarget(uint64(addr), len(buf))
+	end, err := c.readAt(conn, start, addr, buf, sp)
 	if err != nil {
 		sp.FinishAt(int64(start))
 		return err
@@ -127,21 +112,16 @@ func (c *Client) Read(addr region.GAddr, buf []byte) error {
 	c.now = end
 	c.reads.Inc()
 	c.readLat.Record(end.Sub(start))
-	c.flight.Record(telemetry.Event{
-		TimeNanos: int64(end), Client: c.name, Op: "read",
-		Addr: uint64(addr), Len: len(buf), Path: path,
-		Hit: path == pathDRAMCopy, LatNanos: int64(end.Sub(start)),
-	})
 	conn.rec.RecordRead(addr)
 	c.afterAccess(conn)
 	return nil
 }
 
-// readAt performs the redirected read at the given simulated instant,
-// reporting which path served it. sp (may be nil) gets the serving
-// stage marked at the transfer's completion instant: cacheHit for a
-// DRAM-copy read, nvmCopy for the home-NVM path.
-func (c *Client) readAt(conn *serverConn, at simnet.Time, addr region.GAddr, buf []byte, sp *span.Span) (simnet.Time, string, error) {
+// readAt performs the redirected read at the given simulated instant.
+// sp (may be nil) gets the serving stage marked at the transfer's
+// completion instant: cacheHit for a DRAM-copy read, nvmCopy for the
+// home-NVM path.
+func (c *Client) readAt(conn *serverConn, at simnet.Time, addr region.GAddr, buf []byte, sp *span.Span) (simnet.Time, error) {
 	var end simnet.Time
 	served := false
 
@@ -157,21 +137,19 @@ func (c *Client) readAt(conn *serverConn, at simnet.Time, addr region.GAddr, buf
 			}
 		}
 	}
-	path := pathDRAMCopy
 	if !served {
 		var err error
 		end, err = conn.qp.Read(at, buf, rdma.RemoteAddr{Region: conn.nvm, Offset: addr.Offset()})
 		if err != nil {
-			return at, pathNVM, fmt.Errorf("core: read %v: %w", addr, err)
+			return at, fmt.Errorf("core: read %v: %w", addr, err)
 		}
 		c.misses.Inc()
-		path = pathNVM
 		sp.MarkAt(span.StageNVMCopy, int64(end))
 	}
 	if conn.writer != nil {
 		conn.writer.ApplyPending(addr, buf)
 	}
-	return end, path, nil
+	return end, nil
 }
 
 // readCopy attempts to serve a read from a DRAM copy. It reads from the
@@ -218,11 +196,10 @@ func (c *Client) Write(addr region.GAddr, data []byte) error {
 	}
 	start := c.now
 	sp := c.tracer.StartAt("write", int64(start))
+	sp.SetTarget(uint64(addr), len(data))
 	var end simnet.Time
-	path, ringDepth := pathNVMDirect, 0
 	if conn.writer != nil {
 		end, err = c.writeProxied(conn, start, addr, data)
-		path, ringDepth = pathProxyRing, conn.writer.PendingCount()
 		sp.MarkAt(span.StageRingStage, int64(end))
 	} else {
 		end, err = c.writeDirect(conn, start, addr, data)
@@ -236,11 +213,6 @@ func (c *Client) Write(addr region.GAddr, data []byte) error {
 	c.now = end
 	c.writes.Inc()
 	c.writeLat.Record(end.Sub(start))
-	c.flight.Record(telemetry.Event{
-		TimeNanos: int64(end), Client: c.name, Op: "write",
-		Addr: uint64(addr), Len: len(data), Path: path,
-		RingDepth: ringDepth, LatNanos: int64(end.Sub(start)),
-	})
 	conn.rec.RecordWrite(addr)
 	c.afterAccess(conn)
 	return nil

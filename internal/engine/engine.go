@@ -594,7 +594,8 @@ func (e *Engine) seqlockReadCopy(at simnet.Time, loc cache.Location, delta int64
 // while mutating, so the locked read can never observe a torn copy.
 func (e *Engine) readCopyLocked(at simnet.Time, loc cache.Location, delta int64, buf []byte) (simnet.Time, bool) {
 	var hdr [8]byte
-	//gengar:lint-ignore atomic-mixed-access locked fallback: writers hold the device write lock while mutating, so this plain read cannot observe a torn header
+	// Locked fallback: writers hold the device write lock while
+	// mutating, so this plain read cannot observe a torn header.
 	end, err := e.cacheDev.Read(at, loc.Off+cache.CopyGenOff, hdr[:])
 	if err != nil || binary.BigEndian.Uint64(hdr[:]) != loc.Gen {
 		return at, false

@@ -27,10 +27,8 @@ type hostedCopy struct {
 
 // hostedTable tracks the hosted copies by arena offset.
 type hostedTable struct {
-	mu sync.Mutex
-	//gengar:guardedby mu
-	m map[int64]hostedCopy
-	//gengar:guardedby mu
+	mu    sync.Mutex // guards m and bytes
+	m     map[int64]hostedCopy
 	bytes int64 // arena footprint (header + data, block-rounded)
 }
 

@@ -63,15 +63,14 @@ func (qp *QP) Connect(peer *QP) error {
 	if qp.node.fabric != peer.node.fabric {
 		return fmt.Errorf("rdma: connect across fabrics (%s, %s)", qp.node.id, peer.node.id)
 	}
-	// Lock in address order to avoid deadlock with a concurrent reverse
-	// Connect.
+	// Both ends lock in address order, so concurrent reverse Connects
+	// cannot deadlock.
 	first, second := qp, peer
 	if fmt.Sprintf("%p", first) > fmt.Sprintf("%p", second) {
 		first, second = second, first
 	}
 	first.mu.Lock()
 	defer first.mu.Unlock()
-	//gengar:lint-ignore lock-order both ends lock in address order, so concurrent reverse Connects cannot deadlock
 	second.mu.Lock()
 	defer second.mu.Unlock()
 	if qp.closed || peer.closed {

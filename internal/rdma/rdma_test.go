@@ -216,6 +216,28 @@ func TestQPConnectionErrors(t *testing.T) {
 	}
 }
 
+// TestConcurrentReverseConnects races a.Connect(b) against b.Connect(a).
+// Connect holds both queue pairs' mutexes; it takes them in address
+// order, so the two calls cannot deadlock (a hang here fails the run by
+// timeout), and exactly one of them makes the connection.
+func TestConcurrentReverseConnects(t *testing.T) {
+	f, _ := NewFabric(testModel())
+	a, _ := f.AddNode("a")
+	b, _ := f.AddNode("b")
+	for i := 0; i < 200; i++ {
+		qa, qb := a.NewQP(), b.NewQP()
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); errs[0] = qa.Connect(qb) }()
+		go func() { defer wg.Done(); errs[1] = qb.Connect(qa) }()
+		wg.Wait()
+		if (errs[0] == nil) == (errs[1] == nil) {
+			t.Fatalf("iteration %d: want exactly one Connect to succeed, got %v and %v", i, errs[0], errs[1])
+		}
+	}
+}
+
 func TestAtomics(t *testing.T) {
 	client, _, mr := testPair(t, hmem.KindDRAM, 1024)
 	addr := RemoteAddr{Region: mr.Handle(), Offset: 64}

@@ -146,6 +146,9 @@ func (r *Reader) Reset(b []byte) { r.buf, r.err = b, nil }
 // Err returns the first decoding error, if any.
 func (r *Reader) Err() error { return r.err }
 
+// Len returns the number of payload bytes not yet consumed.
+func (r *Reader) Len() int { return len(r.buf) }
+
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil

@@ -12,15 +12,13 @@ import (
 // Cluster owns a fabric and a set of meshed Gengar servers — the
 // in-process stand-in for the paper's testbed rack. It also owns the
 // deployment's telemetry: a metrics registry every component registers
-// into and a flight recorder of recent operations. Both are per-cluster
-// so concurrent clusters (e.g. parallel benchmark runs) never mix
-// samples.
+// into and an op tracer. Both are per-cluster so concurrent clusters
+// (e.g. parallel benchmark runs) never mix samples.
 type Cluster struct {
 	fabric     *rdma.Fabric
 	cfg        config.Cluster
 	registry   *Registry
 	telem      *telemetry.Registry
-	flight     *telemetry.FlightRecorder
 	tracer     *span.Tracer
 	nextClient atomic.Uint32
 }
@@ -41,12 +39,8 @@ func NewCluster(cfg config.Cluster) (*Cluster, error) {
 		cfg:      cfg,
 		registry: NewRegistry(),
 		telem:    telemetry.NewRegistry(),
-		flight:   telemetry.NewFlightRecorder(telemetry.DefaultFlightEvents),
 	}
 	fabric.RegisterTelemetry(c.telem)
-	c.telem.GaugeFunc("gengar_flight_events", "operation events recorded since start", func() int64 {
-		return int64(c.flight.Total())
-	})
 	// The sim mount runs client and servers in one process, so one
 	// tracer spans the whole path. Sampling starts disabled (the
 	// zero-allocation default); harness code opts in per run via
@@ -98,10 +92,6 @@ func (c *Cluster) Registry() *Registry { return c.registry }
 
 // Telemetry returns the cluster-wide metrics registry.
 func (c *Cluster) Telemetry() *telemetry.Registry { return c.telem }
-
-// Recorder returns the cluster-wide flight recorder of recent
-// operations.
-func (c *Cluster) Recorder() *telemetry.FlightRecorder { return c.flight }
 
 // Tracer returns the cluster-wide op tracer. Sampling is disabled until
 // a caller raises it with SetSampleEvery.

@@ -70,10 +70,6 @@ type PoolConfig struct {
 	// Lease is the lock lease requested by this client; 0 selects
 	// DefaultLease.
 	Lease time.Duration
-	// Nagle re-enables Nagle's algorithm on dialed connections. The
-	// default (false) sets TCP_NODELAY: the pool coalesces pipelined
-	// frames itself, so kernel-side delay only adds latency.
-	Nagle bool
 	// KeepAlive is the TCP keep-alive probe period on dialed
 	// connections; 0 selects 30s, negative disables probing.
 	KeepAlive time.Duration
@@ -165,7 +161,7 @@ func dialServer(addr string, cfg *PoolConfig, frames *framePool) (*serverConn, e
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: dial %s: %w", addr, err)
 	}
-	tuneConn(nc, cfg.Nagle, cfg.KeepAlive)
+	tuneConn(nc, cfg.KeepAlive)
 	sc := &serverConn{
 		addr:    addr,
 		c:       nc,

@@ -49,9 +49,8 @@ type peerLink struct {
 
 	// mu admits one dialer; get uses TryLock so concurrent callers fail
 	// fast to their NVM fallback instead of queueing behind the dial.
-	mu sync.Mutex
-	//gengar:guardedby mu
-	nextDial time.Time // redial backoff gate
+	mu       sync.Mutex
+	nextDial time.Time // redial backoff gate; guarded by mu
 	conn     atomic.Pointer[serverConn]
 
 	// Learned from the peer's hello; zero until the first connect.
@@ -66,14 +65,13 @@ type peerLink struct {
 	done   chan struct{}
 }
 
-func newPeerLink(addr string, homeID uint16, frames *framePool, nagle bool, keepAlive time.Duration) *peerLink {
+func newPeerLink(addr string, homeID uint16, frames *framePool, keepAlive time.Duration) *peerLink {
 	return &peerLink{
 		addr:   addr,
 		homeID: homeID,
 		dial: PoolConfig{
 			Addrs:     []string{addr},
 			Timeout:   peerDialTimeout,
-			Nagle:     nagle,
 			KeepAlive: keepAlive,
 		},
 		frames: frames,
@@ -274,10 +272,10 @@ type peerSet struct {
 	rr    atomic.Uint64 // placement round-robin cursor
 }
 
-func newPeerSet(addrs []string, homeID uint16, frames *framePool, nagle bool, keepAlive time.Duration) *peerSet {
+func newPeerSet(addrs []string, homeID uint16, frames *framePool, keepAlive time.Duration) *peerSet {
 	ps := &peerSet{}
 	for _, a := range addrs {
-		ps.links = append(ps.links, newPeerLink(a, homeID, frames, nagle, keepAlive))
+		ps.links = append(ps.links, newPeerLink(a, homeID, frames, keepAlive))
 	}
 	return ps
 }

@@ -54,10 +54,6 @@ type ServerConfig struct {
 	DefaultLease time.Duration
 	// AcquireTimeout bounds how long a lock request waits; 0 selects 2s.
 	AcquireTimeout time.Duration
-	// Nagle re-enables Nagle's algorithm on accepted connections. The
-	// default (false) sets TCP_NODELAY: the wire layer batches frames
-	// itself, so kernel-side delay only adds latency.
-	Nagle bool
 	// KeepAlive is the TCP keep-alive probe period on accepted
 	// connections; 0 selects 30s, negative disables probing.
 	KeepAlive time.Duration
@@ -155,7 +151,6 @@ type PoolServer struct {
 	opLatency  [maxOpTag]*metrics.Histogram
 
 	telem  *telemetry.Registry
-	flight *telemetry.FlightRecorder
 	tracer *span.Tracer
 
 	// peers are this daemon's links into the distributed DRAM cache;
@@ -189,11 +184,10 @@ func NewPoolServer(cfg ServerConfig) (*PoolServer, error) {
 		return nil, fmt.Errorf("tcpnet: %w", err)
 	}
 	s := &PoolServer{
-		cfg:    cfg,
-		eng:    eng,
-		conns:  make(map[net.Conn]struct{}),
-		telem:  telemetry.NewRegistry(),
-		flight: telemetry.NewFlightRecorder(telemetry.DefaultFlightEvents),
+		cfg:   cfg,
+		eng:   eng,
+		conns: make(map[net.Conn]struct{}),
+		telem: telemetry.NewRegistry(),
 	}
 	sl := telemetry.L("server", fmt.Sprintf("%d", cfg.ID))
 	s.telem.RegisterCounter("gengar_tcp_ops_total", "wire requests served", &s.ops, sl)
@@ -243,7 +237,7 @@ func NewPoolServer(cfg ServerConfig) (*PoolServer, error) {
 	// Peers are indexed by their position in cfg.Peers for telemetry —
 	// the stable identity a link has before (and across) connects.
 	if len(cfg.Peers) > 0 && !cfg.NoCache {
-		s.peers = newPeerSet(cfg.Peers, cfg.ID, &s.frames, cfg.Nagle, cfg.KeepAlive)
+		s.peers = newPeerSet(cfg.Peers, cfg.ID, &s.frames, cfg.KeepAlive)
 		for i, l := range s.peers.links {
 			l := l
 			pl := telemetry.L("peer", strconv.Itoa(i))
@@ -298,9 +292,6 @@ func (s *PoolServer) Engine() *engine.Engine { return s.eng }
 // Telemetry returns the daemon's metrics registry (served by gengard's
 // debug endpoint).
 func (s *PoolServer) Telemetry() *telemetry.Registry { return s.telem }
-
-// Recorder returns the daemon's flight recorder of recent operations.
-func (s *PoolServer) Recorder() *telemetry.FlightRecorder { return s.flight }
 
 // Tracer returns the daemon's span tracer (stage quantiles and the
 // slow-op ring served by gengard's /debug/trace endpoint).
@@ -489,7 +480,7 @@ func (sess *session) observe(addr region.GAddr, write bool) {
 // connection; the read loop then unwinds and tears down the session —
 // the daemon never keeps consuming requests whose replies go nowhere.
 func (s *PoolServer) serveConn(conn net.Conn) {
-	tuneConn(conn, s.cfg.Nagle, s.cfg.KeepAlive)
+	tuneConn(conn, s.cfg.KeepAlive)
 	sess := s.openSession()
 	q := newFrameQueue(conn, &s.frames)
 	q.framesPerFlush = s.framesPerFlush
@@ -558,6 +549,28 @@ func parks(sess *session, op Op, payload []byte) bool {
 	return false
 }
 
+// The least one batch record occupies on the wire: a write record is
+// addr u64 + blob length u32 (+ data), a digest entry is addr u64 +
+// reads u32 + writes u32.
+const (
+	writeRecordMin   = 12
+	digestEntryBytes = 16
+)
+
+// recordCount consumes a batch payload's leading record count and
+// rejects one the rest of the payload cannot hold, so a wire-supplied
+// count never sizes an allocation beyond the frame that carried it.
+func recordCount(req *payloadReader, recordBytes int) (int, error) {
+	n := req.U32()
+	if err := req.Err(); err != nil {
+		return 0, err
+	}
+	if fit := req.Len() / recordBytes; uint64(n) > uint64(fit) {
+		return 0, fmt.Errorf("tcpnet: batch count %d exceeds the %d records its payload can hold", n, fit)
+	}
+	return int(n), nil
+}
+
 // dispatch handles one request and enqueues its response frame. It owns
 // frame (the pooled request buffer) and recycles it after handling. It
 // also owns sp until the response is enqueued, at which point span
@@ -607,8 +620,7 @@ func finishResp(f *[]byte, w *payloadWriter) *[]byte {
 // handle serves one request and returns its response as a pooled frame
 // with the header reserved and the payload encoded in place, or nil for
 // an empty-payload success. Errors travel back as error frames. A
-// non-nil sp collects engine-level stage marks; traced ops skip the
-// blanket flight-recorder capture, which the span supersedes.
+// non-nil sp collects engine-level stage marks.
 func (s *PoolServer) handle(sess *session, op Op, req *payloadReader, sp *span.Span) (resp *[]byte, err error) {
 	if int(op) <= 0 || int(op) >= maxOpTag {
 		return nil, fmt.Errorf("tcpnet: unknown op %d", op)
@@ -689,6 +701,7 @@ func (s *PoolServer) handle(sess *session, op Op, req *payloadReader, sp *span.S
 		b := *f
 		binary.BigEndian.PutUint32(b[frameHeader:], uint32(n))
 		out := b[frameHeader+4 : frameHeader+4+int(n)]
+		sp.SetTarget(uint64(addr), int(n))
 		sp.Mark(span.StageDispatch)
 		_, src, err := s.eng.ReadAt(s.eng.Now(), addr, out)
 		if err != nil {
@@ -711,12 +724,6 @@ func (s *PoolServer) handle(sess *session, op Op, req *payloadReader, sp *span.S
 		}
 		sess.observe(addr, false)
 		s.txBytes.Add(n)
-		if sp == nil {
-			s.flight.Record(telemetry.Event{
-				TimeNanos: start.UnixNano(), Op: "read", Addr: uint64(addr),
-				Len: int(n), Path: readPath(src), LatNanos: int64(time.Since(start)),
-			})
-		}
 		return f, nil
 
 	case OpWrite:
@@ -728,20 +735,15 @@ func (s *PoolServer) handle(sess *session, op Op, req *payloadReader, sp *span.S
 		if err := req.Err(); err != nil {
 			return nil, err
 		}
+		sp.SetTarget(uint64(addr), len(data))
 		sp.Mark(span.StageDispatch)
-		if err := s.writeOne(sess, addr, data, sp); err != nil {
-			return nil, err
-		}
-		if sp == nil {
-			s.flight.Record(telemetry.Event{
-				TimeNanos: start.UnixNano(), Op: "write", Addr: uint64(addr),
-				Len: len(data), Path: "tcp", LatNanos: int64(time.Since(start)),
-			})
-		}
-		return nil, nil
+		return nil, s.writeOne(sess, addr, data, sp)
 
 	case OpWriteBatch:
-		n := int(req.U32())
+		n, err := recordCount(req, writeRecordMin)
+		if err != nil {
+			return nil, err
+		}
 		reqs := make([]proxy.StageReq, 0, n)
 		for i := 0; i < n; i++ {
 			addr := region.GAddr(req.U64())
@@ -764,7 +766,10 @@ func (s *PoolServer) handle(sess *session, op Op, req *payloadReader, sp *span.S
 		return nil, nil
 
 	case OpDigest:
-		n := int(req.U32())
+		n, err := recordCount(req, digestEntryBytes)
+		if err != nil {
+			return nil, err
+		}
 		entries := make([]hotness.Entry, 0, n)
 		for i := 0; i < n; i++ {
 			ent := hotness.Entry{
@@ -989,17 +994,6 @@ func (s *PoolServer) writeBatch(sess *session, reqs []proxy.StageReq, sp *span.S
 		}
 	}
 	return nil
-}
-
-func readPath(src engine.ReadSource) string {
-	switch src {
-	case engine.ReadHitLocal:
-		return "tcp/cache"
-	case engine.ReadHitPeer:
-		return "tcp/peer"
-	default:
-		return "tcp/nvm"
-	}
 }
 
 // homeAddr decodes an address operand and checks it is homed here.

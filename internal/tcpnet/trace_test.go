@@ -137,6 +137,12 @@ func TestTracedOpsStitchClientAndServerSpans(t *testing.T) {
 			t.Fatalf("server write stages %v missing %q", swSeq, want)
 		}
 	}
+	// The daemon's records name the object and bytes each op touched.
+	for _, r := range []span.Record{sRead, sWrite} {
+		if r.Addr != uint64(a) || r.Len != 256 {
+			t.Fatalf("server %s record names addr %#x len %d, want %#x len 256", r.Op, r.Addr, r.Len, uint64(a))
+		}
+	}
 }
 
 // TestClientGatesTraceOnNegotiation proves the wire extension is only

@@ -569,19 +569,18 @@ func (q *frameQueue) close() {
 // config leaves it zero.
 const defaultKeepAlive = 30 * time.Second
 
-// tuneConn applies the transport knobs to a TCP connection: explicit
-// TCP_NODELAY (on unless Nagle batching is requested — the wire layer
-// does its own coalescing in the frame queue, so delayed small writes
-// only add latency) and keep-alive probes so half-dead peers are
-// detected even when the protocol is idle. keepAlive <= 0 disables
-// probing. Non-TCP connections (in-process pipes in tests) pass
-// through untouched.
-func tuneConn(conn net.Conn, nagle bool, keepAlive time.Duration) {
+// tuneConn applies the transport settings to a TCP connection: explicit
+// TCP_NODELAY (the wire layer does its own coalescing in the frame
+// queue, so Nagle's delayed small writes would only add latency) and
+// keep-alive probes so half-dead peers are detected even when the
+// protocol is idle. keepAlive <= 0 disables probing. Non-TCP
+// connections (in-process pipes in tests) pass through untouched.
+func tuneConn(conn net.Conn, keepAlive time.Duration) {
 	tc, ok := conn.(*net.TCPConn)
 	if !ok {
 		return
 	}
-	_ = tc.SetNoDelay(!nagle)
+	_ = tc.SetNoDelay(true)
 	if keepAlive > 0 {
 		_ = tc.SetKeepAlive(true)
 		_ = tc.SetKeepAlivePeriod(keepAlive)

@@ -250,6 +250,81 @@ func TestOversizedReadKeepsConnAlive(t *testing.T) {
 	}
 }
 
+// TestOversizedBatchCountKeepsConnAlive sends OpWriteBatch and OpDigest
+// frames whose leading count promises far more records than the 4-byte
+// payload holds. The daemon used to size a slice by that count before
+// reading one record (a 17-byte frame asked for gigabytes); it must
+// answer with an error frame on a connection that keeps serving.
+func TestOversizedBatchCountKeepsConnAlive(t *testing.T) {
+	addrs := startServers(t, 1, nil)
+	p := dialPool(t, addrs)
+
+	a, err := p.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := p.conn(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []Op{OpWriteBatch, OpDigest} {
+		for _, count := range []uint32{0x0fffffff, 0xffffffff} {
+			var w payloadWriter
+			f := sc.frames.newFrame(&w, 4)
+			w.U32(count)
+			err := sc.call(f, &w, op, nil)
+			var re *RemoteError
+			if !errors.As(err, &re) {
+				t.Fatalf("%v with count %#x: got %v, want RemoteError", op, count, err)
+			}
+			if sc.dead() {
+				t.Fatalf("%v with count %#x severed the connection", op, count)
+			}
+			if err := p.Read(a, make([]byte, 64)); err != nil {
+				t.Fatalf("read after %v with count %#x: %v", op, count, err)
+			}
+		}
+	}
+}
+
+// TestRecordCountBound pins the bound itself: a leading count is
+// accepted only if the rest of the payload can hold that many records
+// of the op's minimum size, and rejected before anything is allocated.
+func TestRecordCountBound(t *testing.T) {
+	cases := []struct {
+		name        string
+		count       uint32
+		rest        int // payload bytes after the count
+		recordBytes int
+		ok          bool
+	}{
+		{"empty batch", 0, 0, writeRecordMin, true},
+		{"write: largest count that fits", 3, 3*writeRecordMin + writeRecordMin - 1, writeRecordMin, true},
+		{"write: one more than fits", 4, 3*writeRecordMin + writeRecordMin - 1, writeRecordMin, false},
+		{"write: 0x0fffffff", 0x0fffffff, 0, writeRecordMin, false},
+		{"write: 0xffffffff", 0xffffffff, 1 << 10, writeRecordMin, false},
+		{"digest: largest count that fits", 5, 5 * digestEntryBytes, digestEntryBytes, true},
+		{"digest: one more than fits", 6, 5 * digestEntryBytes, digestEntryBytes, false},
+		{"digest: 0x0fffffff", 0x0fffffff, 0, digestEntryBytes, false},
+		{"digest: 0xffffffff", 0xffffffff, 1 << 10, digestEntryBytes, false},
+	}
+	for _, tc := range cases {
+		var w payloadWriter
+		w.U32(tc.count)
+		req := newPayloadReader(append(w.Bytes(), make([]byte, tc.rest)...))
+		n, err := recordCount(req, tc.recordBytes)
+		switch {
+		case tc.ok && (err != nil || n != int(tc.count)):
+			t.Errorf("%s: got (%d, %v), want (%d, nil)", tc.name, n, err, tc.count)
+		case !tc.ok && err == nil:
+			t.Errorf("%s: count %d accepted with %d payload bytes behind it", tc.name, tc.count, tc.rest)
+		}
+	}
+	if _, err := recordCount(newPayloadReader([]byte{0, 0, 1}), writeRecordMin); err == nil {
+		t.Error("truncated count accepted")
+	}
+}
+
 // TestFramePoolDropsOversized checks that exact-size allocations above
 // the largest class are dropped on release rather than donated to the
 // 1 MiB class, where they would be pinned behind ~1 MiB requests.

@@ -1,10 +1,8 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 )
 
@@ -14,10 +12,7 @@ import (
 //	GET /metrics       Prometheus text exposition of a fresh snapshot
 //	GET /metrics.json  the same snapshot as JSON (gengar-stat polls this)
 //	GET /healthz       liveness + uptime as JSON
-//	GET /debug/events  flight-recorder dump as JSONL (?n=K for last K)
-//
-// rec may be nil, in which case /debug/events serves an empty body.
-func Handler(reg *Registry, rec *FlightRecorder) http.Handler {
+func Handler(reg *Registry) http.Handler {
 	start := time.Now()
 	mux := http.NewServeMux()
 
@@ -33,24 +28,7 @@ func Handler(reg *Registry, rec *FlightRecorder) http.Handler {
 
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, "{\"status\":\"ok\",\"uptime_s\":%.1f,\"events\":%d}\n",
-			time.Since(start).Seconds(), rec.Total())
-	})
-
-	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		events := rec.Events()
-		if nStr := req.URL.Query().Get("n"); nStr != "" {
-			if n, err := strconv.Atoi(nStr); err == nil && n >= 0 && n < len(events) {
-				events = events[len(events)-n:]
-			}
-		}
-		enc := json.NewEncoder(w)
-		for _, e := range events {
-			if err := enc.Encode(e); err != nil {
-				return
-			}
-		}
+		fmt.Fprintf(w, "{\"status\":\"ok\",\"uptime_s\":%.1f}\n", time.Since(start).Seconds())
 	})
 
 	return mux

@@ -1,7 +1,7 @@
 // Package telemetry is Gengar's observability substrate: a labeled
 // metrics registry over the primitives in internal/metrics, snapshot
-// exporters (Prometheus text format and JSON), a per-operation flight
-// recorder, and an HTTP debug handler.
+// exporters (Prometheus text format and JSON), and an HTTP debug
+// handler. Per-operation records live in the span subpackage.
 //
 // The registry hands out live instruments — *metrics.Counter,
 // *metrics.Gauge, *metrics.Histogram — that components update on their
@@ -10,9 +10,8 @@
 // Values derived from existing state (pool usage, ring occupancy) are
 // registered as gauge functions evaluated at snapshot time.
 //
-// Every cluster (simulated or TCP deployment) owns one Registry and one
-// FlightRecorder, so concurrent clusters in one process never share
-// metrics.
+// Every cluster (simulated or TCP deployment) owns one Registry, so
+// concurrent clusters in one process never share metrics.
 package telemetry
 
 import (

@@ -29,9 +29,9 @@ import (
 )
 
 // Stage names one timed segment of an operation's critical path. Stage
-// labels are const-only by design (and enforced by gengar-lint's
-// telemetry-hygiene analyzer): every exported name below is the full
-// vocabulary, so stage cardinality in the metrics registry is bounded.
+// labels are const-only by design: every exported name below is the
+// full vocabulary, so stage cardinality in the metrics registry is
+// bounded.
 type Stage uint8
 
 // The stage vocabulary. Client-side stages (encode, netWait, decode)
@@ -140,6 +140,8 @@ type Span struct {
 	traceID uint64
 	remote  bool // opened from a wire-propagated trace ID (the server half)
 	start   int64
+	addr    uint64 // object the op touched (SetTarget)
+	length  int    // payload bytes it moved (SetTarget)
 	n       int
 	dropped int
 	marks   [maxMarks]mark
@@ -151,6 +153,16 @@ func (s *Span) TraceID() uint64 {
 		return 0
 	}
 	return s.traceID
+}
+
+// SetTarget notes which object a single-object op (read, write) touched
+// and how many payload bytes it moved, so a retained Record says what
+// was slow, not just where.
+func (s *Span) SetTarget(addr uint64, n int) {
+	if s == nil {
+		return
+	}
+	s.addr, s.length = addr, n
 }
 
 // Mark records that stage st just ended, stamped by the tracer's clock.
@@ -213,6 +225,8 @@ type Record struct {
 	Op         string         `json:"op"`
 	Side       string         `json:"side"`
 	Remote     bool           `json:"remote,omitempty"`
+	Addr       uint64         `json:"addr,omitempty"` // target global address (read, write)
+	Len        int            `json:"len,omitempty"`  // payload bytes (read, write)
 	StartNanos int64          `json:"start_ns"`
 	TotalNanos int64          `json:"total_ns"`
 	Dropped    int            `json:"dropped_marks,omitempty"`
@@ -358,7 +372,7 @@ func (t *Tracer) sampled() bool {
 
 // Start opens a locally-sampled span for op, or returns nil (the
 // zero-allocation unsampled case). op must be a constant or an enum's
-// String() — enforced by gengar-lint.
+// String(), so op cardinality in the metrics registry stays bounded.
 //
 //gengar:hotpath
 func (t *Tracer) Start(op string) *Span {
@@ -471,6 +485,8 @@ func (t *Tracer) ringAdd(s *Span, total int64) {
 		Op:         s.op,
 		Side:       t.side,
 		Remote:     s.remote,
+		Addr:       s.addr,
+		Len:        s.length,
 		StartNanos: s.start,
 		TotalNanos: total,
 		Dropped:    s.dropped,

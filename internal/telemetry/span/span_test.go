@@ -27,6 +27,7 @@ func TestNilTracerAndNilSpanNoOp(t *testing.T) {
 	if sp != nil {
 		t.Fatal("nil tracer produced a span")
 	}
+	sp.SetTarget(0x40, 64)
 	sp.Mark(StageDispatch)
 	sp.MarkAt(StageNVMCopy, 5)
 	sp.Finish()
@@ -198,6 +199,7 @@ func TestHandlerJSONL(t *testing.T) {
 	tr, clk := newClocked(Config{Side: "server", SampleEvery: 1})
 	for i := 0; i < 3; i++ {
 		sp := tr.Start("read")
+		sp.SetTarget(uint64(0x40*(i+1)), 64)
 		clk.advance(int64(100 * (i + 1)))
 		sp.Mark(StageNVMCopy)
 		sp.Finish()
@@ -223,6 +225,15 @@ func TestHandlerJSONL(t *testing.T) {
 	}
 	if recs[0].TotalNanos != 200 || recs[1].TotalNanos != 300 {
 		t.Fatalf("tail records: %+v", recs)
+	}
+	// Each record names the object and bytes its op touched, and a
+	// recycled span does not carry the previous op's target along.
+	if recs[0].Addr != 0x80 || recs[1].Addr != 0xc0 || recs[1].Len != 64 {
+		t.Fatalf("record targets: %+v", recs)
+	}
+	tr.Start("lock_ex").Finish()
+	if last := tr.Records()[3]; last.Addr != 0 || last.Len != 0 {
+		t.Fatalf("untargeted op inherited a target: %+v", last)
 	}
 }
 

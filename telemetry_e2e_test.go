@@ -1,6 +1,8 @@
 package gengar_test
 
 import (
+	"bufio"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,12 +12,14 @@ import (
 
 	"gengar"
 	"gengar/internal/telemetry"
+	"gengar/internal/telemetry/span"
 )
 
 // TestTelemetryEndToEnd drives a small workload through the public API
 // and checks that the full telemetry path lights up: cache hits and
-// proxy flushes appear in the registry, the flight recorder holds the
-// ops, and the HTTP debug endpoint serves it all in Prometheus format.
+// proxy flushes appear in the registry, the tracer's ring holds per-op
+// records naming the object each op touched, and the HTTP debug
+// endpoints serve it all (Prometheus text, /debug/trace JSONL).
 func TestTelemetryEndToEnd(t *testing.T) {
 	cfg := gengar.DefaultConfig()
 	cfg.Servers = 2
@@ -30,6 +34,10 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	// Trace every op and retain every span, so the ring is a per-op log.
+	tracer := p.Cluster().Tracer()
+	tracer.SetSampleEvery(1)
+	tracer.SetSlowThreshold(0)
 	c, err := p.NewClient("app")
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +81,9 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if hits := snap.Sum("gengar_client_cache_hits_total"); hits == 0 {
 		t.Error("no cache hits recorded")
 	}
+	if staged := snap.Sum("gengar_proxy_staged_total"); staged == 0 {
+		t.Error("no proxied writes recorded")
+	}
 	if flushed := snap.Sum("gengar_proxy_flushed_total"); flushed == 0 {
 		t.Error("no proxy flushes recorded")
 	}
@@ -87,30 +98,34 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Errorf("ClientStats hits %d != registry %d", st.CacheHits, snap.Sum("gengar_client_cache_hits_total"))
 	}
 
-	// The flight recorder saw the ops, including cache-hit reads.
-	rec := p.FlightRecorder()
-	if rec.Total() == 0 {
-		t.Fatal("no flight events recorded")
+	// Label values are bounded: traffic to an object the registry has
+	// never seen adds samples to existing series, never a new series
+	// (an address, length or trace ID used as a label would).
+	series := func() int {
+		s := p.Telemetry().Snapshot()
+		return len(s.Counters) + len(s.Gauges) + len(s.Histograms)
 	}
-	var sawHit, sawWrite bool
-	for _, e := range rec.Events() {
-		if e.Op == "read" && e.Hit {
-			sawHit = true
-		}
-		if e.Op == "write" && e.Path == "proxy_ring" {
-			sawWrite = true
-		}
+	before := series()
+	other, err := c.MallocOn(2, 512)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !sawHit {
-		t.Error("no cache-hit read event in flight recorder")
+	if err := c.Write(other, data[:512]); err != nil {
+		t.Fatal(err)
 	}
-	if !sawWrite {
-		t.Error("no proxied-write event in flight recorder")
+	if err := c.Read(other, buf[:512]); err != nil {
+		t.Fatal(err)
+	}
+	if after := series(); after != before {
+		t.Errorf("ops on a new object grew the registry from %d to %d series", before, after)
 	}
 
 	// The debug endpoint serves it all: Prometheus text with at least
 	// one counter, gauge and histogram (summary) family.
-	srv := httptest.NewServer(telemetry.Handler(p.Telemetry(), rec))
+	mux := http.NewServeMux()
+	mux.Handle("/", telemetry.Handler(p.Telemetry()))
+	mux.Handle("/debug/trace", span.Handler(tracer))
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -129,14 +144,47 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	resp, err = http.Get(srv.URL + "/debug/events?n=4")
+
+	// /debug/trace holds one record per op: which object, how many
+	// bytes, and the stage that served it — including a cache-hit read
+	// and the proxied write.
+	resp, err = http.Get(srv.URL + "/debug/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, _ := io.ReadAll(resp.Body)
+	defer resp.Body.Close()
+	var sawHit, sawWrite bool
+	wantLen := map[uint64]int{uint64(addr): 1024, uint64(other): 512}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var r span.Record
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("bad /debug/trace line %q: %v", sc.Text(), err)
+		}
+		if r.Op == "read" || r.Op == "write" {
+			if want := wantLen[r.Addr]; want == 0 || r.Len != want {
+				t.Errorf("%s record names addr %#x len %d", r.Op, r.Addr, r.Len)
+			}
+		}
+		for _, st := range r.Stages {
+			sawHit = sawHit || (r.Op == "read" && st.Stage == "cacheHit")
+			sawWrite = sawWrite || (r.Op == "write" && st.Stage == "ringStage")
+		}
+	}
+	if !sawHit {
+		t.Error("no cache-hit read record in /debug/trace")
+	}
+	if !sawWrite {
+		t.Error("no proxied-write record in /debug/trace")
+	}
+	resp, err = http.Get(srv.URL + "/debug/trace?n=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if lines := strings.Count(strings.TrimSpace(string(events)), "\n") + 1; lines != 4 {
-		t.Errorf("/debug/events?n=4 returned %d lines", lines)
+	if lines := strings.Count(strings.TrimSpace(string(tail)), "\n") + 1; lines != 4 {
+		t.Errorf("/debug/trace?n=4 returned %d lines", lines)
 	}
 }
 
@@ -158,6 +206,8 @@ func TestTelemetryIsolatedPerPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
+	p1.Cluster().Tracer().SetSampleEvery(1)
+	p2.Cluster().Tracer().SetSampleEvery(1)
 
 	c1, err := p1.NewClient("app")
 	if err != nil {
@@ -178,7 +228,10 @@ func TestTelemetryIsolatedPerPool(t *testing.T) {
 	if n := p2.Telemetry().Snapshot().Sum("gengar_client_writes_total"); n != 0 {
 		t.Fatalf("pool 2 leaked %d writes from pool 1", n)
 	}
-	if p2.FlightRecorder().Total() != 0 {
-		t.Fatal("pool 2 leaked flight events from pool 1")
+	if p1.Cluster().Tracer().Finished() == 0 {
+		t.Fatal("pool 1 traced nothing")
+	}
+	if p2.Cluster().Tracer().Finished() != 0 {
+		t.Fatal("pool 2 leaked op spans from pool 1")
 	}
 }
