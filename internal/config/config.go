@@ -41,8 +41,8 @@ type Hotness struct {
 
 // Proxy tunes the write-staging path.
 type Proxy struct {
-	// RingSlots and RingSlotSize define each client's staging ring. The
-	// slot size bounds the largest proxied write (minus a 12 B header).
+	// RingSlots and RingSlotSize define each client's staging ring. A
+	// slot holds a 12 B header plus payload; larger writes take several.
 	RingSlots    int
 	RingSlotSize int
 	// PollCost is the server CPU charge per flushed record.
@@ -189,6 +189,3 @@ func (c Cluster) Validate() error {
 	}
 	return nil
 }
-
-// MaxProxiedWrite returns the largest write the proxy path can stage.
-func (c Cluster) MaxProxiedWrite() int { return c.Proxy.RingSlotSize - 12 }

@@ -61,10 +61,3 @@ func TestValidateCatchesBadFields(t *testing.T) {
 		}
 	}
 }
-
-func TestMaxProxiedWrite(t *testing.T) {
-	c := Default()
-	if got := c.MaxProxiedWrite(); got != 4096 {
-		t.Fatalf("MaxProxiedWrite = %d, want 4096", got)
-	}
-}

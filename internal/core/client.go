@@ -57,6 +57,9 @@ type serverConn struct {
 	ringBase int64
 
 	accesses int // data-path accesses since the last digest
+	// chain is this home's share of the write chain being posted —
+	// scratch reused across ops under Client.mu (see writeChain).
+	chain []proxy.StageReq
 }
 
 // Client is one user of the distributed hybrid memory pool.
@@ -67,7 +70,6 @@ type Client struct {
 	node    *rdma.Node
 	opts    config.Features
 	hot     config.Hotness
-	maxStg  int
 	poolNVM bool // pool media needs a persistence fence on direct writes
 
 	//gengar:lint-ignore lock-across-blocking a Client models one application thread: c.mu serializes its operations by design, and the calls it spans advance the client's private simulated clock rather than contending in wall time
@@ -77,6 +79,10 @@ type Client struct {
 	nodeQPs map[string]*rdma.QP
 	rr      int
 	closed  bool
+	// Write-chain scratch: the homes the current chain touches, in first-
+	// touch order, and the WQEs of the direct chain being posted.
+	homes []*serverConn
+	wqes  []rdma.WriteReq
 
 	// tracer is the cluster's shared op tracer. Ops mark spans with
 	// explicit simulated instants (StartAt/MarkAt/FinishAt), so both
@@ -115,7 +121,6 @@ func Connect(c *server.Cluster, name string) (*Client, error) {
 		node:    node,
 		opts:    cfg.Features,
 		hot:     cfg.Hotness,
-		maxStg:  cfg.MaxProxiedWrite(),
 		poolNVM: cfg.PoolMedia.Kind == hmem.KindNVM,
 		tracer:  c.Tracer(),
 		conns:   make(map[uint16]*serverConn),

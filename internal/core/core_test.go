@@ -197,7 +197,7 @@ func TestLargeWriteChunksThroughProxy(t *testing.T) {
 	cfg := testConfig()
 	c := newTestCluster(t, cfg)
 	cl := connect(t, c, "u1")
-	size := int64(3*cfg.MaxProxiedWrite() + 100)
+	size := int64(3*cfg.Proxy.RingSlotSize + 100)
 	addr, err := cl.Malloc(size)
 	if err != nil {
 		t.Fatal(err)

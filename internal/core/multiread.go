@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"gengar/internal/cache"
+	"gengar/internal/proxy"
 	"gengar/internal/rdma"
 	"gengar/internal/region"
 	"gengar/internal/simnet"
@@ -71,6 +72,9 @@ func (c *Client) ReadMulti(addrs []region.GAddr, bufs [][]byte) error {
 			Raddr: rdma.RemoteAddr{Region: conn.nvm, Offset: addr.Offset()},
 		})
 	}
+
+	eachWriter(s.conns, (*proxy.Writer).Pin) // read, overlay, unpin: see Pin
+	defer eachWriter(s.conns, (*proxy.Writer).Unpin)
 
 	start := c.now
 	end := start
@@ -161,4 +165,14 @@ func (c *Client) ReadMulti(addrs []region.GAddr, bufs [][]byte) error {
 	}
 	c.readLat.Record(simnet.Duration(end - start))
 	return nil
+}
+
+// eachWriter calls f on the staging writer behind every entry of a
+// vectored read.
+func eachWriter(conns []*serverConn, f func(*proxy.Writer)) {
+	for _, conn := range conns {
+		if conn.writer != nil {
+			f(conn.writer)
+		}
+	}
 }

@@ -19,18 +19,8 @@ import (
 // k-record burst costs roughly one round trip instead of k — the write
 // side of the batching ReadMulti gives scans (experiment E16).
 //
-// With the proxy enabled the burst is staged into consecutive ring
-// slots with a single doorbell per chain, keeping per-slot credits,
-// backpressure and read-your-writes intact. With the proxy disabled the
-// chain goes straight to NVM and the per-op overheads coalesce: one
-// persist fence per chain (a read-after-write fences every WRITE ahead
-// of it on the queue pair) and one batched write-through RPC per server
-// instead of one of each per record.
-//
 // Entries later in the slice overwrite earlier ones where they overlap,
 // matching sequential Write order.
-//
-//gengar:hotpath
 func (c *Client) WriteMulti(addrs []region.GAddr, bufs [][]byte) error {
 	if len(addrs) != len(bufs) {
 		return fmt.Errorf("core: WriteMulti with %d addrs and %d buffers", len(addrs), len(bufs))
@@ -43,128 +33,131 @@ func (c *Client) WriteMulti(addrs []region.GAddr, bufs [][]byte) error {
 	if c.closed {
 		return ErrClosed
 	}
-	s := getScratch()
-	defer putScratch(s)
-
-	for i, addr := range addrs {
-		conn, err := c.conn(addr)
-		if err != nil {
-			return err
-		}
-		s.conns = append(s.conns, conn)
-		if conn.writer != nil {
-			// Writes larger than a ring slot are chunked through the
-			// ring, exactly as Write does, so the server-side flusher
-			// remains the single coherence authority.
-			data := bufs[i]
-			for off := 0; off < len(data); off += c.maxStg {
-				hi := off + c.maxStg
-				if hi > len(data) {
-					hi = len(data)
-				}
-				chunkAddr := addr.Add(int64(off))
-				s.stage[conn] = append(s.stage[conn], proxy.StageReq{
-					Addr:   chunkAddr,
-					NvmOff: chunkAddr.Offset(),
-					Data:   data[off:hi],
-				})
-			}
-			continue
-		}
-		node := conn.nvm.Node
-		s.nodeConn[node] = conn
-		s.writeGroups[node] = append(s.writeGroups[node], rdma.WriteReq{
-			Src:   bufs[i],
-			Raddr: rdma.RemoteAddr{Region: conn.nvm, Offset: addr.Offset()},
-		})
-		if c.opts.Cache {
-			s.wt[node] = append(s.wt[node], wtEntry{addr: addr, size: len(bufs[i])})
+	err := c.writeChain(c.tracer.StartAt("write_multi", int64(c.now)), addrs, bufs)
+	if err == nil {
+		for _, conn := range c.homes {
+			c.writeBatchLen.Record(time.Duration(len(conn.chain)))
 		}
 	}
+	return err
+}
 
+// writeChain is the one gwrite body, for any record count and size:
+// group the records by home server, post every home's chain at the same
+// instant (they overlap; the op completes with the last), then do the
+// per-record accounting. It owns sp. Called with c.mu held, which is
+// also what guards the grouping scratch (c.homes, conn.chain, c.wqes).
+//
+//gengar:hotpath
+func (c *Client) writeChain(sp *span.Span, addrs []region.GAddr, bufs [][]byte) error {
 	start := c.now
-	end := start
-	sp := c.tracer.StartAt("write_multi", int64(start))
-
-	// Proxied chains: one doorbell-batched stage per home server.
-	staged := false
-	for conn, reqs := range s.stage {
-		if len(reqs) == 0 {
-			continue
-		}
-		e, err := conn.writer.StageMulti(start, reqs)
-		if err != nil {
-			sp.FinishAt(int64(start))
-			return fmt.Errorf("core: stage batch to server %d: %w", conn.srv.ID(), err)
-		}
-		staged = true
-		c.writeBatchLen.Record(time.Duration(len(reqs)))
-		if e > end {
-			end = e
-		}
+	end, err := c.postChains(start, addrs, bufs)
+	if err != nil {
+		sp.FinishAt(int64(start))
+		return err
 	}
-	if staged {
+	if c.opts.Proxy {
 		sp.MarkAt(span.StageRingStage, int64(end))
-	}
-
-	// Direct chains: one WRITE chain + one fence + one write-through RPC
-	// per home server.
-	direct := false
-	for node, reqs := range s.writeGroups {
-		if len(reqs) == 0 {
-			continue
-		}
-		direct = true
-		conn := s.nodeConn[node]
-		e, err := conn.qp.WriteBatch(start, reqs)
-		if err != nil {
-			sp.FinishAt(int64(end))
-			return fmt.Errorf("core: write batch to %s: %w", node, err)
-		}
-		if c.poolNVM {
-			// One persist fence for the whole chain: WQEs on a queue pair
-			// execute in order, so a single read-after-write forces every
-			// WRITE ahead of it out of the NIC into the ADR domain — k-1
-			// durability round trips coalesced away.
-			e, err = conn.qp.Read(e, nil, reqs[len(reqs)-1].Raddr)
-			if err != nil {
-				sp.FinishAt(int64(end))
-				return fmt.Errorf("core: persist fence %s: %w", node, err)
-			}
-			c.coalescedFences.Add(int64(len(reqs) - 1))
-		}
-		if ents := s.wt[node]; len(ents) > 0 {
-			// Keep promoted copies coherent with one control-plane call
-			// for the whole chain instead of one per record.
-			var w rpc.Writer
-			w.U32(uint32(len(ents)))
-			for _, ent := range ents {
-				w.U64(uint64(ent.addr)).U32(uint32(ent.size))
-			}
-			_, rpcEnd, err := conn.ctl.Call(e, server.KindWriteThroughBatch, w.Bytes())
-			if err != nil {
-				sp.FinishAt(int64(end))
-				return fmt.Errorf("core: write-through batch to %s: %w", node, err)
-			}
-			e = simnet.MaxTime(e, rpcEnd)
-			c.coalescedRPCs.Add(int64(len(ents) - 1))
-		}
-		c.writeBatchLen.Record(time.Duration(len(reqs)))
-		if e > end {
-			end = e
-		}
-	}
-	if direct {
+	} else {
 		sp.MarkAt(span.StageFlushPersist, int64(end))
 	}
 	sp.FinishAt(int64(end))
-
 	c.now = end
-	for i, addr := range addrs {
-		c.writes.Inc()
-		s.conns[i].rec.RecordWrite(addr)
-		c.afterAccess(s.conns[i])
+	c.writeLat.Record(end.Sub(start))
+	for _, conn := range c.homes {
+		for _, r := range conn.chain {
+			c.writes.Inc()
+			conn.rec.RecordWrite(r.Addr)
+			c.afterAccess(conn)
+		}
 	}
-	c.writeLat.Record(simnet.Duration(end - start))
 	return nil
+}
+
+// postChains groups the records by home server — request order kept
+// within a home — and posts each home's chain at instant at. With the
+// proxy enabled a chain is staged into the home's DRAM ring and flushed
+// to NVM in the background; proxy.Writer cuts records to slot size, so
+// a write of any size rides the ring and the flusher stays the single
+// coherence authority. Without a ring the chain goes direct.
+//
+//gengar:hotpath
+func (c *Client) postChains(at simnet.Time, addrs []region.GAddr, bufs [][]byte) (simnet.Time, error) {
+	for _, conn := range c.homes {
+		conn.chain = conn.chain[:0]
+	}
+	c.homes = c.homes[:0]
+	for i, addr := range addrs {
+		conn, err := c.conn(addr)
+		if err != nil {
+			return at, err
+		}
+		if len(conn.chain) == 0 {
+			c.homes = append(c.homes, conn)
+		}
+		conn.chain = append(conn.chain, proxy.StageReq{Addr: addr, NvmOff: addr.Offset(), Data: bufs[i]})
+	}
+	end := at
+	for _, conn := range c.homes {
+		var e simnet.Time
+		var err error
+		if conn.writer != nil {
+			e, err = conn.writer.StageMulti(at, conn.chain)
+		} else {
+			e, err = c.postDirect(conn, at)
+		}
+		if err != nil {
+			return at, fmt.Errorf("core: write chain to server %d: %w", conn.srv.ID(), err)
+		}
+		end = simnet.MaxTime(end, e)
+	}
+	return end, nil
+}
+
+// postDirect lands conn.chain without the proxy, and the per-op
+// overheads coalesce: one WRITE chain straight to home NVM, one persist
+// fence and — when caching is on, so a promoted copy cannot go stale —
+// one write-through RPC, instead of one of each per record.
+//
+//gengar:hotpath
+func (c *Client) postDirect(conn *serverConn, at simnet.Time) (simnet.Time, error) {
+	c.wqes = c.wqes[:0]
+	for _, r := range conn.chain {
+		c.wqes = append(c.wqes, rdma.WriteReq{
+			Src:   r.Data,
+			Raddr: rdma.RemoteAddr{Region: conn.nvm, Offset: r.NvmOff},
+		})
+	}
+	end, err := conn.qp.WriteBatch(at, c.wqes)
+	if err != nil {
+		return at, err
+	}
+	if c.poolNVM {
+		// Durable remote NVM write: the standard RDMA persistence fence
+		// is a read-after-write that forces the data out of the NIC into
+		// the ADR domain — the extra round trip Gengar's proxy removes.
+		// WQEs on a queue pair execute in order, so one fence covers
+		// every WRITE of the chain ahead of it.
+		end, err = conn.qp.Read(end, nil, c.wqes[len(c.wqes)-1].Raddr)
+		if err != nil {
+			return at, fmt.Errorf("persist fence: %w", err)
+		}
+		c.coalescedFences.Add(int64(len(c.wqes) - 1))
+	}
+	if c.opts.Cache {
+		// The home server re-reads the just-written NVM ranges and
+		// refreshes any promoted copy; its reply is the coherence point.
+		var w rpc.Writer
+		w.U32(uint32(len(conn.chain)))
+		for _, r := range conn.chain {
+			w.U64(uint64(r.Addr)).U32(uint32(len(r.Data)))
+		}
+		_, rpcEnd, err := conn.ctl.Call(end, server.KindWriteThroughBatch, w.Bytes())
+		if err != nil {
+			return at, fmt.Errorf("write-through: %w", err)
+		}
+		end = simnet.MaxTime(end, rpcEnd)
+		c.coalescedRPCs.Add(int64(len(conn.chain) - 1))
+	}
+	return end, nil
 }

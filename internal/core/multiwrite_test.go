@@ -96,7 +96,7 @@ func TestWriteMultiChunksLargeWrites(t *testing.T) {
 	// Entries larger than a ring slot chunk through the ring like Write.
 	c := newTestCluster(t, testConfig())
 	cl := connect(t, c, "u1")
-	size := int64(3*cl.maxStg + 17)
+	size := int64(3*testConfig().Proxy.RingSlotSize + 17)
 	a, err := cl.Malloc(size)
 	if err != nil {
 		t.Fatal(err)

@@ -125,6 +125,10 @@ func (c *Client) readAt(conn *serverConn, at simnet.Time, addr region.GAddr, buf
 	var end simnet.Time
 	served := false
 
+	if conn.writer != nil {
+		conn.writer.Pin() // see proxy.Writer.Pin: read, overlay, unpin
+		defer conn.writer.Unpin()
+	}
 	if c.opts.Cache {
 		if loc, base, ok := conn.view.Lookup(addr, int64(len(buf))); ok {
 			end, served = c.readCopy(at, loc, base, addr, buf)
@@ -177,90 +181,18 @@ func (c *Client) readCopy(at simnet.Time, loc cache.Location, base, addr region.
 	return end, true
 }
 
-// Write stores data at addr (gwrite). With the proxy enabled the write
-// is staged into the home server's DRAM ring at DRAM latency and flushed
-// to NVM in the background; writes larger than a ring slot are chunked
-// through the ring so the server-side flusher remains the single
-// coherence authority. With the proxy disabled the write goes straight
-// to NVM, followed by a write-through RPC when caching is on so a
-// promoted copy cannot go stale.
+// Write stores data at addr (gwrite): a write chain of length one (see
+// writeChain), traced and timed as its own op.
 func (c *Client) Write(addr region.GAddr, data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return ErrClosed
 	}
-	conn, err := c.conn(addr)
-	if err != nil {
-		return err
-	}
-	start := c.now
-	sp := c.tracer.StartAt("write", int64(start))
+	sp := c.tracer.StartAt("write", int64(c.now))
 	sp.SetTarget(uint64(addr), len(data))
-	var end simnet.Time
-	if conn.writer != nil {
-		end, err = c.writeProxied(conn, start, addr, data)
-		sp.MarkAt(span.StageRingStage, int64(end))
-	} else {
-		end, err = c.writeDirect(conn, start, addr, data)
-		sp.MarkAt(span.StageFlushPersist, int64(end))
-	}
-	if err != nil {
-		sp.FinishAt(int64(start))
-		return err
-	}
-	sp.FinishAt(int64(end))
-	c.now = end
-	c.writes.Inc()
-	c.writeLat.Record(end.Sub(start))
-	conn.rec.RecordWrite(addr)
-	c.afterAccess(conn)
-	return nil
-}
-
-func (c *Client) writeProxied(conn *serverConn, at simnet.Time, addr region.GAddr, data []byte) (simnet.Time, error) {
-	end := at
-	for off := 0; off < len(data); off += c.maxStg {
-		hi := off + c.maxStg
-		if hi > len(data) {
-			hi = len(data)
-		}
-		chunkAddr := addr.Add(int64(off))
-		var err error
-		end, err = conn.writer.Stage(end, chunkAddr, chunkAddr.Offset(), data[off:hi])
-		if err != nil {
-			return at, fmt.Errorf("core: write %v: %w", addr, err)
-		}
-	}
-	return end, nil
-}
-
-func (c *Client) writeDirect(conn *serverConn, at simnet.Time, addr region.GAddr, data []byte) (simnet.Time, error) {
-	end, err := conn.qp.Write(at, data, rdma.RemoteAddr{Region: conn.nvm, Offset: addr.Offset()})
-	if err != nil {
-		return at, fmt.Errorf("core: write %v: %w", addr, err)
-	}
-	if c.poolNVM {
-		// Durable remote NVM write: the standard RDMA persistence fence
-		// is a read-after-write that forces the data out of the NIC into
-		// the ADR domain — the extra round trip Gengar's proxy removes.
-		end, err = conn.qp.Read(end, nil, rdma.RemoteAddr{Region: conn.nvm, Offset: addr.Offset()})
-		if err != nil {
-			return at, fmt.Errorf("core: persist fence %v: %w", addr, err)
-		}
-	}
-	if c.opts.Cache {
-		// Keep any promoted copy coherent: the home server re-reads the
-		// just-written NVM range and refreshes the copy.
-		var w rpc.Writer
-		w.U64(uint64(addr)).U32(uint32(len(data)))
-		_, rpcEnd, err := conn.ctl.Call(end, server.KindWriteThrough, w.Bytes())
-		if err != nil {
-			return at, fmt.Errorf("core: write-through %v: %w", addr, err)
-		}
-		end = simnet.MaxTime(end, rpcEnd)
-	}
-	return end, nil
+	addrs, bufs := [1]region.GAddr{addr}, [1][]byte{data}
+	return c.writeChain(sp, addrs[:], bufs[:])
 }
 
 // afterAccess counts data-path traffic and, every DigestEvery accesses

@@ -4,9 +4,7 @@ import (
 	"sync"
 
 	"gengar/internal/cache"
-	"gengar/internal/proxy"
 	"gengar/internal/rdma"
-	"gengar/internal/region"
 )
 
 // cachedEntry tracks one ReadMulti entry served from a DRAM copy: where
@@ -19,17 +17,12 @@ type cachedEntry struct {
 	tmp   []byte
 }
 
-// wtEntry is one record of a batched write-through RPC.
-type wtEntry struct {
-	addr region.GAddr
-	size int
-}
-
-// multiScratch holds every per-call temporary of the vectored data-path
-// operations (ReadMulti/WriteMulti). Instances are pooled so the steady
-// state allocates nothing per entry: maps keep their keys (the node set
-// is small and stable) with value slices truncated in place, and the
-// per-entry staging buffers are reused across calls.
+// multiScratch holds every per-call temporary of ReadMulti (the write
+// chain's grouping scratch lives on the Client and its sessions).
+// Instances are pooled so the steady state allocates nothing per entry:
+// maps keep their keys (the node set is small and stable) with value
+// slices truncated in place, and the per-entry staging buffers are
+// reused across calls.
 type multiScratch struct {
 	conns    []*serverConn
 	nvmRetry []int
@@ -37,11 +30,6 @@ type multiScratch struct {
 	readGroups  map[string][]rdma.ReadReq
 	retryGroups map[string][]rdma.ReadReq
 	cached      map[string][]cachedEntry
-
-	stage       map[*serverConn][]proxy.StageReq
-	writeGroups map[string][]rdma.WriteReq
-	wt          map[string][]wtEntry
-	nodeConn    map[string]*serverConn
 
 	tmps [][]byte
 	ntmp int
@@ -52,10 +40,6 @@ var scratchPool = sync.Pool{New: func() any {
 		readGroups:  make(map[string][]rdma.ReadReq),
 		retryGroups: make(map[string][]rdma.ReadReq),
 		cached:      make(map[string][]cachedEntry),
-		stage:       make(map[*serverConn][]proxy.StageReq),
-		writeGroups: make(map[string][]rdma.WriteReq),
-		wt:          make(map[string][]wtEntry),
-		nodeConn:    make(map[string]*serverConn),
 	}
 }}
 
@@ -81,15 +65,6 @@ func (s *multiScratch) reset() {
 	}
 	for k, v := range s.cached {
 		s.cached[k] = v[:0]
-	}
-	for k, v := range s.stage {
-		s.stage[k] = v[:0]
-	}
-	for k, v := range s.writeGroups {
-		s.writeGroups[k] = v[:0]
-	}
-	for k, v := range s.wt {
-		s.wt[k] = v[:0]
 	}
 }
 

@@ -33,13 +33,8 @@ import (
 	"gengar/internal/telemetry"
 )
 
-// Errors returned by the proxy.
-var (
-	// ErrEngineClosed is returned when staging to a stopped engine.
-	ErrEngineClosed = errors.New("proxy: engine closed")
-	// ErrPayloadTooLarge is returned when a write exceeds the ring slot.
-	ErrPayloadTooLarge = errors.New("proxy: payload exceeds ring slot size")
-)
+// ErrEngineClosed is returned when staging to a stopped engine.
+var ErrEngineClosed = errors.New("proxy: engine closed")
 
 // slotHeaderBytes is the per-record header written into a ring slot:
 // target global address (8) + payload length (4).

@@ -184,10 +184,51 @@ func TestFIFOOrderSameAddress(t *testing.T) {
 	}
 }
 
-func TestPayloadTooLarge(t *testing.T) {
+// patterned returns n bytes no two slot-sized pieces of which are equal.
+func patterned(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*31 + i/251)
+	}
+	return b
+}
+
+// checkChunked asserts that the oversized record data, staged at
+// offset off, took ⌈len/MaxPayload⌉ slots, reads back through the
+// overlay while pending and is byte-identical in NVM once flushed.
+func checkChunked(t *testing.T, h *harness, off int64, data []byte, stagedBefore int64) {
+	t.Helper()
+	maxPayload := h.writer.Ring().MaxPayload()
+	want := int64((len(data) + maxPayload - 1) / maxPayload)
+	if st := h.engine.Stats(); st.Staged-stagedBefore != want {
+		t.Fatalf("%d-byte record took %d slots, want %d", len(data), st.Staged-stagedBefore, want)
+	}
+	h.writer.Drain()
+	got := make([]byte, len(data))
+	if err := h.nvm.ReadRaw(off, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("NVM content differs from the oversized record after flush")
+	}
+	if st := h.engine.Stats(); st.Flushed != st.Staged {
+		t.Fatalf("flushed %d of %d staged", st.Flushed, st.Staged)
+	}
+}
+
+func TestOversizedStageIsChunked(t *testing.T) {
 	h := newHarness(t, 4, 64, nil)
-	if _, err := h.writer.Stage(0, gaddr(0), 0, make([]byte, 64)); !errors.Is(err, ErrPayloadTooLarge) {
-		t.Fatalf("oversize stage: %v", err)
+	maxPayload := h.writer.Ring().MaxPayload()
+	// One past a slot, an exact multiple, and a record wider than the
+	// whole ring (more pieces than slots: it must wait out its own
+	// backpressure, not deadlock).
+	for _, n := range []int{maxPayload + 1, 2 * maxPayload, 9*maxPayload + 17} {
+		before := h.engine.Stats().Staged
+		data := patterned(n)
+		if _, err := h.writer.Stage(0, gaddr(128), 128, data); err != nil {
+			t.Fatalf("stage %d bytes: %v", n, err)
+		}
+		checkChunked(t, h, 128, data, before)
 	}
 }
 
@@ -562,20 +603,54 @@ func TestStageMultiLargerThanRing(t *testing.T) {
 }
 
 func TestStageMultiValidation(t *testing.T) {
-	h := newHarness(t, 4, 64, nil)
+	h := newHarness(t, 8, 64, nil)
 	// Empty burst is a no-op.
 	if end, err := h.writer.StageMulti(7, nil); err != nil || end != 7 {
 		t.Fatalf("empty burst: %v %v", end, err)
 	}
-	// One oversize payload fails the whole burst before anything stages.
-	reqs := []StageReq{
-		{Addr: gaddr(0), NvmOff: 0, Data: make([]byte, 8)},
-		{Addr: gaddr(64), NvmOff: 64, Data: make([]byte, 64)},
+	// An empty record takes no slot.
+	if _, err := h.writer.StageMulti(0, []StageReq{{Addr: gaddr(0)}}); err != nil || h.engine.Stats().Staged != 0 {
+		t.Fatalf("empty record: %v, staged %d", err, h.engine.Stats().Staged)
 	}
-	if _, err := h.writer.StageMulti(0, reqs); !errors.Is(err, ErrPayloadTooLarge) {
+	// An oversized record inside a burst is cut into slots in place: the
+	// small record ahead of it lands first, the one behind it last. With
+	// the flushers held, all six pieces are pending and the overlay alone
+	// must already show the burst applied in order.
+	big := patterned(3*h.writer.Ring().MaxPayload() + 5)
+	reqs := []StageReq{
+		{Addr: gaddr(64), NvmOff: 64, Data: []byte("--before")},
+		{Addr: gaddr(64), NvmOff: 64, Data: big},
+		{Addr: gaddr(64 + 8), NvmOff: 64 + 8, Data: []byte("after")},
+	}
+	want := append([]byte(nil), big...)
+	copy(want[8:], "after")
+	release := holdFlushers(t, h.engine)
+	if _, err := h.writer.StageMulti(0, reqs); err != nil {
 		t.Fatalf("oversize burst: %v", err)
 	}
-	if h.writer.PendingCount() != 0 {
-		t.Fatal("failed burst left pending records")
+	overlay := make([]byte, len(big))
+	if n := h.writer.PendingCount(); n != 6 {
+		t.Fatalf("%d pieces pending, want 6", n)
+	}
+	if h.writer.ApplyPending(gaddr(64), overlay); !bytes.Equal(overlay, want) {
+		t.Fatal("pending overlay differs from the burst applied in order")
+	}
+	release()
+	checkChunked(t, h, 64, want, 2) // discounting the two small records
+}
+
+// holdFlushers parks every flush worker inside Engine.Submit until the
+// returned release is called, so staged records stay pending.
+func holdFlushers(t *testing.T, e *Engine) (release func()) {
+	t.Helper()
+	held, free := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- e.Submit(func() { close(held); <-free }) }()
+	<-held
+	return func() {
+		close(free)
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"gengar/internal/hmem"
 	"gengar/internal/metrics"
@@ -63,21 +64,22 @@ func getBuf(n int) *[]byte {
 func putBuf(bp *[]byte) { bufPool.Put(bp) }
 
 // Writer is the client side of the proxy write path for one
-// (client, server) pair. Stage RDMA-WRITEs a record into the next ring
-// slot — completing at DRAM speed — and hands it to the server's flusher.
-// The writer holds one credit per ring slot; when the ring is full, Stage
-// blocks until the flusher copies records out (the backpressure that
-// surfaces as the write-throughput knee in the evaluation).
+// (client, server) pair. StageMulti RDMA-WRITEs records into the next
+// ring slots — completing at DRAM speed — and hands them to the server's
+// flusher. The writer holds one credit per ring slot; when the ring is
+// full, staging blocks until the flusher copies records out (the
+// backpressure that surfaces as the write-throughput knee in the
+// evaluation).
 //
 // Writer also keeps the staged-but-unflushed payloads so the owning
 // client reads its own writes: ApplyPending overlays them onto data read
-// from the server.
+// from the server, between a Pin and an Unpin.
 //
-// Locking: stageMu serializes staging (sequence/slot assignment, the
-// ring write and the enqueue — FIFO order into the flusher is what makes
-// slot reuse safe); pendMu guards the pending set and applied state. The
-// ack path takes only pendMu, so it always makes progress while a stager
-// waits on a briefly-full flusher queue under stageMu.
+// Locking: stageMu serializes staging (credits, sequence/slot
+// assignment, the ring write and the enqueue — FIFO order into the
+// flusher is what makes slot reuse safe); pendMu guards the pending set
+// and applied state. The flusher and the ack path never take stageMu,
+// so credits keep returning while a stager waits for them under it.
 type Writer struct {
 	engine *Engine
 	qp     *rdma.QP // nil for a server-local writer
@@ -91,12 +93,13 @@ type Writer struct {
 	quit    chan struct{}
 	wg      sync.WaitGroup
 
-	//gengar:lint-ignore lock-across-blocking staging holds stageMu across the ring post and enqueue by design: FIFO order into the flusher is what makes slot reuse safe (see Locking above)
+	//gengar:lint-ignore lock-across-blocking staging holds stageMu across the credit wait, ring post and enqueue by design: FIFO order into the flusher is what makes slot reuse safe (see Locking above)
 	stageMu sync.Mutex
 	nextSeq uint64
-	// Chain-staging scratch, reused across stageChain calls (guarded by
-	// stageMu): one WQE and one pooled slot image per record, capped at
-	// ring.Slots entries by the StageMulti chain split.
+	// Staging scratch, reused across calls (guarded by stageMu): the
+	// burst cut into slot-sized pieces, then one WQE and one pooled slot
+	// image per piece of the chain being posted (at most ring.Slots).
+	pieces         []StageReq
 	wqeScratch     []rdma.WriteReq
 	slotBufScratch []*[]byte
 
@@ -108,8 +111,12 @@ type Writer struct {
 	pendMu      sync.Mutex
 	cond        *sync.Cond
 	pending     []pendingWrite
+	flushed     uint64 // sequence numbers below it are applied to NVM
 	lastApplied simnet.Time
 	closed      bool
+	// pins counts reads between their Pin and Unpin; flushed entries stay
+	// in pending while it is nonzero. Decremented under pendMu.
+	pins atomic.Int32
 }
 
 // NewWriter builds the client side of a staging ring. qp must be
@@ -175,16 +182,10 @@ func (w *Writer) ackLoop() {
 			if ack.AppliedAt > w.lastApplied {
 				w.lastApplied = ack.AppliedAt
 			}
-			// Flushing is FIFO per ring, so completed records form a
-			// prefix.
-			for len(w.pending) > 0 && w.pending[0].seq <= ack.Seq {
-				if bp := w.pending[0].buf; bp != nil {
-					putBuf(bp)
-				}
-				w.pending[0] = pendingWrite{}
-				w.pending = w.pending[1:]
+			w.flushed = ack.Seq + 1
+			if w.pins.Load() == 0 {
+				w.popFlushed()
 			}
-			w.cond.Broadcast()
 			w.pendMu.Unlock()
 		case <-w.quit:
 			return
@@ -192,108 +193,7 @@ func (w *Writer) ackLoop() {
 	}
 }
 
-// Stage submits a proxied write of data to the global address addr,
-// whose NVM backing lives at nvmOff in the server's pool device. It
-// returns the simulated instant the client's write is staged (DRAM-speed
-// acknowledgment) — the client-visible write latency under Gengar.
-//
-//gengar:hotpath
-func (w *Writer) Stage(at simnet.Time, addr region.GAddr, nvmOff int64, data []byte) (simnet.Time, error) {
-	if len(data) > w.ring.MaxPayload() {
-		return at, fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, len(data), w.ring.MaxPayload())
-	}
-	w.pendMu.Lock()
-	closed := w.closed
-	w.pendMu.Unlock()
-	if closed {
-		return at, ErrEngineClosed
-	}
-
-	// Take a ring slot; blocks when the flusher is behind.
-	<-w.credits
-	w.occHW.SetMax(int64(w.ring.Slots - len(w.credits)))
-
-	w.stageMu.Lock()
-	seq := w.nextSeq
-	w.nextSeq++
-	slot := int(seq % uint64(w.ring.Slots))
-
-	// One RDMA WRITE carries header + payload into the slot. The slot
-	// image is pooled: the device copies it during the WRITE, so it is
-	// reusable the moment the verb returns.
-	slotBuf := getBuf(slotHeaderBytes + len(data))
-	buf := *slotBuf
-	binary.BigEndian.PutUint64(buf, uint64(addr))
-	binary.BigEndian.PutUint32(buf[8:], uint32(len(data)))
-	copy(buf[slotHeaderBytes:], data)
-	var stagedAt simnet.Time
-	var err error
-	if w.qp != nil {
-		slotOff := w.ring.Base + int64(slot)*int64(w.ring.SlotSize)
-		stagedAt, err = w.qp.Write(at, buf, rdma.RemoteAddr{Region: w.ring.Handle, Offset: slotOff})
-	} else {
-		stagedAt, err = w.localDev.Write(at, w.ring.DevBase+int64(slot)*int64(w.ring.SlotSize), buf)
-	}
-	putBuf(slotBuf)
-	if err != nil {
-		w.stageMu.Unlock()
-		w.credits <- struct{}{}
-		return at, fmt.Errorf("proxy: stage: %w", err)
-	}
-
-	pb := getBuf(len(data))
-	copy(*pb, data)
-	w.pendMu.Lock()
-	w.pending = append(w.pending, pendingWrite{
-		seq:  seq,
-		addr: addr,
-		data: *pb,
-		buf:  pb,
-	})
-	w.pendMu.Unlock()
-
-	rec := record{
-		ringID:   w.ring.ID,
-		seq:      seq,
-		addr:     addr,
-		nvmOff:   nvmOff,
-		ringOff:  w.ring.DevBase + int64(slot)*int64(w.ring.SlotSize) + slotHeaderBytes,
-		size:     len(data),
-		stagedAt: stagedAt,
-		acks:     w.ackCh,
-		slotFree: w.credits,
-	}
-	// Enqueue before releasing stageMu: the flusher must see this ring's
-	// records in sequence order, because slot-reuse safety rests on
-	// credits returning in FIFO order.
-	err = w.engine.enqueue(rec)
-	w.stageMu.Unlock()
-	if err != nil {
-		// The record will never flush; undo the pending entry and credit.
-		w.dropPending(seq)
-		w.credits <- struct{}{}
-		return at, err
-	}
-	return stagedAt, nil
-}
-
-// dropPending removes (and recycles) the pending entry with the given
-// sequence number — the undo path when an enqueue fails.
-func (w *Writer) dropPending(seq uint64) {
-	w.pendMu.Lock()
-	for i := range w.pending {
-		if w.pending[i].seq == seq {
-			if bp := w.pending[i].buf; bp != nil {
-				putBuf(bp)
-			}
-			w.pending = append(w.pending[:i], w.pending[i+1:]...)
-			break
-		}
-	}
-	w.pendMu.Unlock()
-}
-
-// StageReq is one record in a batched stage: a proxied write of Data to
+// StageReq is one record of a staged chain: a proxied write of Data to
 // the global address Addr, whose NVM backing lives at NvmOff in the
 // server's pool device.
 type StageReq struct {
@@ -302,44 +202,95 @@ type StageReq struct {
 	Data   []byte
 }
 
-// StageMulti stages a burst of records into consecutive ring slots,
-// posting each ring-sized run as a single doorbell-batched WRITE chain
-// — one PerOp for the whole burst instead of one per record. Per-slot
-// credits and backpressure are unchanged (the call blocks while the
-// flusher is behind), records enter the flusher in staging order, and
-// every record joins the pending set before the call returns, so
-// read-your-writes holds exactly as for Stage.
+// popFlushed drops the pending entries the flusher has applied —
+// flushing is FIFO per ring, so they form a prefix — and wakes Drain.
+// Caller holds pendMu.
+func (w *Writer) popFlushed() {
+	popped := false
+	for len(w.pending) > 0 && w.pending[0].seq < w.flushed {
+		putBuf(w.pending[0].buf)
+		w.pending[0] = pendingWrite{}
+		w.pending = w.pending[1:]
+		popped = true
+	}
+	if popped && len(w.pending) == 0 {
+		w.cond.Broadcast()
+	}
+}
+
+// Pin holds the pending set still for one read: call it before reading
+// the server's bytes, ApplyPending on what came back, then Unpin. A
+// record the flusher applies between the read and the overlay would
+// otherwise be in neither — not yet in the bytes read, already dropped
+// from the pending set — and the reader would miss its own write.
+// Entries applied before the Pin may still be dropped concurrently with
+// it; the read that follows sees those in the server's bytes.
+func (w *Writer) Pin() { w.pins.Add(1) }
+
+// Unpin ends a Pin; the last one out drops what was flushed meanwhile.
+func (w *Writer) Unpin() {
+	w.pendMu.Lock()
+	if w.pins.Add(-1) == 0 {
+		w.popFlushed()
+	}
+	w.pendMu.Unlock()
+}
+
+// Stage is StageMulti for a lone record: a chain of length one.
+func (w *Writer) Stage(at simnet.Time, addr region.GAddr, nvmOff int64, data []byte) (simnet.Time, error) {
+	reqs := [1]StageReq{{Addr: addr, NvmOff: nvmOff, Data: data}}
+	return w.StageMulti(at, reqs[:])
+}
+
+// StageMulti is the one body that turns writes into ring records, on
+// both mounts and for any record count and size. A record larger than
+// a ring slot is cut into slot-sized pieces, so it still reaches NVM
+// through the ring, in order with everything staged before and after it
+// — the flusher stays the single coherence authority. The pieces of
+// the whole burst take consecutive sequence numbers and slots and each
+// ring-sized run is posted as one doorbell-batched WRITE chain: one
+// PerOp for the run instead of one per record. The call blocks for a
+// credit per piece while the flusher is behind, records enter the
+// flusher in staging order, and every piece joins the pending set
+// before the call returns, so the stager reads its own writes.
 //
-// The returned instant is when the chain's last WQE is acknowledged —
-// the client-visible latency of the whole burst.
+// The returned instant is when the last chain's last WQE is
+// acknowledged — the client-visible write latency under Gengar.
 //
 //gengar:hotpath
 func (w *Writer) StageMulti(at simnet.Time, reqs []StageReq) (simnet.Time, error) {
+	// stageMu is held from the first credit to the last enqueue. One
+	// stager collects credits at a time, so two chains can never each
+	// hold half a ring and wait for the other's half.
+	w.stageMu.Lock()
+	defer w.stageMu.Unlock()
+	maxPayload := w.ring.MaxPayload()
+	w.pieces = w.pieces[:0]
 	for _, r := range reqs {
-		if len(r.Data) > w.ring.MaxPayload() {
-			return at, fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, len(r.Data), w.ring.MaxPayload())
+		for off := 0; off < len(r.Data); off += maxPayload {
+			w.pieces = append(w.pieces, StageReq{
+				Addr:   r.Addr.Add(int64(off)),
+				NvmOff: r.NvmOff + int64(off),
+				Data:   r.Data[off:min(off+maxPayload, len(r.Data))],
+			})
 		}
 	}
 	end := at
-	// A chain longer than the ring would deadlock on credits; split the
-	// burst into ring-sized chains, each fully credited before posting.
-	for len(reqs) > 0 {
-		n := len(reqs)
-		if n > w.ring.Slots {
-			n = w.ring.Slots
-		}
+	// A chain longer than the ring could never be fully credited; each
+	// ring-sized run is credited, posted and enqueued before the next.
+	for rest := w.pieces; len(rest) > 0; {
+		n := min(len(rest), w.ring.Slots)
 		var err error
-		end, err = w.stageChain(end, reqs[:n])
-		if err != nil {
+		if end, err = w.stageChain(end, rest[:n]); err != nil {
 			return at, err
 		}
-		reqs = reqs[n:]
+		rest = rest[n:]
 	}
 	return end, nil
 }
 
-// stageChain stages up to ring.Slots records as one doorbell-batched
-// chain. Caller has validated payload sizes.
+// stageChain stages up to ring.Slots slot-sized records as one
+// doorbell-batched chain. Caller holds stageMu.
 //
 //gengar:hotpath
 func (w *Writer) stageChain(at simnet.Time, reqs []StageReq) (simnet.Time, error) {
@@ -356,16 +307,15 @@ func (w *Writer) stageChain(at simnet.Time, reqs []StageReq) (simnet.Time, error
 	}
 	w.occHW.SetMax(int64(w.ring.Slots - len(w.credits)))
 
-	w.stageMu.Lock()
 	seq0 := w.nextSeq
 	w.nextSeq += uint64(len(reqs))
 
-	// Build the chain: one WQE per slot image, all pooled, into the
-	// writer's scratch (no per-burst slice allocation on the hot path).
+	// Build the chain: one WQE per slot image (header + payload), all
+	// pooled, into the writer's scratch. The device copies an image
+	// during the WRITE, so it is reusable the moment the verb returns.
 	w.wqeScratch = w.wqeScratch[:0]
 	w.slotBufScratch = w.slotBufScratch[:0]
 	for i, r := range reqs {
-		slot := int((seq0 + uint64(i)) % uint64(w.ring.Slots))
 		sb := getBuf(slotHeaderBytes + len(r.Data))
 		buf := *sb
 		binary.BigEndian.PutUint64(buf, uint64(r.Addr))
@@ -374,11 +324,8 @@ func (w *Writer) stageChain(at simnet.Time, reqs []StageReq) (simnet.Time, error
 		w.slotBufScratch = append(w.slotBufScratch, sb)
 		if w.qp != nil {
 			w.wqeScratch = append(w.wqeScratch, rdma.WriteReq{
-				Src: buf,
-				Raddr: rdma.RemoteAddr{
-					Region: w.ring.Handle,
-					Offset: w.ring.Base + int64(slot)*int64(w.ring.SlotSize),
-				},
+				Src:   buf,
+				Raddr: rdma.RemoteAddr{Region: w.ring.Handle, Offset: w.ring.Base + w.slotOff(seq0+uint64(i))},
 			})
 		}
 	}
@@ -391,8 +338,7 @@ func (w *Writer) stageChain(at simnet.Time, reqs []StageReq) (simnet.Time, error
 		// into the ring device in sequence.
 		stagedAt = at
 		for i, sb := range w.slotBufScratch {
-			slot := int((seq0 + uint64(i)) % uint64(w.ring.Slots))
-			stagedAt, err = w.localDev.Write(stagedAt, w.ring.DevBase+int64(slot)*int64(w.ring.SlotSize), *sb)
+			stagedAt, err = w.localDev.Write(stagedAt, w.ring.DevBase+w.slotOff(seq0+uint64(i)), *sb)
 			if err != nil {
 				break
 			}
@@ -402,11 +348,10 @@ func (w *Writer) stageChain(at simnet.Time, reqs []StageReq) (simnet.Time, error
 		putBuf(sb)
 	}
 	if err != nil {
-		w.stageMu.Unlock()
 		for range reqs {
 			w.credits <- struct{}{}
 		}
-		return at, fmt.Errorf("proxy: stage batch: %w", err)
+		return at, fmt.Errorf("proxy: stage: %w", err)
 	}
 
 	w.pendMu.Lock()
@@ -422,18 +367,17 @@ func (w *Writer) stageChain(at simnet.Time, reqs []StageReq) (simnet.Time, error
 	}
 	w.pendMu.Unlock()
 
-	// Enqueue in sequence order before releasing stageMu (slot-reuse
-	// safety rests on FIFO credit return). The whole chain completes at
-	// the final WQE's ack — the single signaled work request.
+	// Enqueue in sequence order, still under stageMu: slot-reuse safety
+	// rests on credits returning in FIFO order. The whole chain completes
+	// at the final WQE's ack — the single signaled work request.
 	for i, r := range reqs {
 		seq := seq0 + uint64(i)
-		slot := int(seq % uint64(w.ring.Slots))
 		rec := record{
 			ringID:   w.ring.ID,
 			seq:      seq,
 			addr:     r.Addr,
 			nvmOff:   r.NvmOff,
-			ringOff:  w.ring.DevBase + int64(slot)*int64(w.ring.SlotSize) + slotHeaderBytes,
+			ringOff:  w.ring.DevBase + w.slotOff(seq) + slotHeaderBytes,
 			size:     len(r.Data),
 			stagedAt: stagedAt,
 			acks:     w.ackCh,
@@ -442,22 +386,41 @@ func (w *Writer) stageChain(at simnet.Time, reqs []StageReq) (simnet.Time, error
 		if err := w.engine.enqueue(rec); err != nil {
 			// Records before i are in flight and will ack normally; undo
 			// the tail that will never flush.
-			w.stageMu.Unlock()
-			for j := i; j < len(reqs); j++ {
-				w.dropPending(seq0 + uint64(j))
+			w.dropPendingFrom(seq)
+			for range reqs[i:] {
 				w.credits <- struct{}{}
 			}
 			return at, err
 		}
 	}
-	w.stageMu.Unlock()
 	return stagedAt, nil
 }
 
+// slotOff is the byte offset, from the ring's start, of the slot that
+// sequence number seq occupies.
+func (w *Writer) slotOff(seq uint64) int64 {
+	return int64(seq%uint64(w.ring.Slots)) * int64(w.ring.SlotSize)
+}
+
+// dropPendingFrom removes (and recycles) the pending entries numbered
+// seq and up — the undo path when an enqueue fails. Pending is in
+// sequence order, so they are its tail.
+func (w *Writer) dropPendingFrom(seq uint64) {
+	w.pendMu.Lock()
+	for len(w.pending) > 0 && w.pending[len(w.pending)-1].seq >= seq {
+		last := len(w.pending) - 1
+		putBuf(w.pending[last].buf)
+		w.pending[last] = pendingWrite{}
+		w.pending = w.pending[:last]
+	}
+	w.pendMu.Unlock()
+}
+
 // ApplyPending overlays any staged-but-unflushed writes onto buf, which
-// holds the bytes [addr, addr+len(buf)) as read from the server. It
-// returns whether anything was overlaid. Pending records are applied in
-// staging order, so the newest write to a byte wins.
+// holds the bytes [addr, addr+len(buf)) as read from the server since
+// the caller's Pin. It returns whether anything was overlaid. Pending
+// records are applied in staging order, so the newest write to a byte
+// wins.
 func (w *Writer) ApplyPending(addr region.GAddr, buf []byte) bool {
 	w.pendMu.Lock()
 	defer w.pendMu.Unlock()

@@ -13,6 +13,10 @@ import (
 // magnitude below PerOp.
 const perWQE = 100 * time.Nanosecond
 
+// shortChain is the longest batch whose validated regions fit on the
+// stack: a chain of one — every scalar gwrite — must not allocate.
+const shortChain = 8
+
 // ReadReq is one read in a batch: fill Dst from the remote address.
 type ReadReq struct {
 	Dst   []byte
@@ -39,6 +43,7 @@ func (qp *QP) ReadBatch(at simnet.Time, reqs []ReadReq) (simnet.Time, error) {
 	if len(reqs) == 0 {
 		return at, nil
 	}
+	qp.node.fabric.verbReads.Add(int64(len(reqs))) // one READ per WQE, as k scalar reads would count
 	peer, err := qp.remote()
 	if err != nil {
 		return at, err
@@ -48,8 +53,12 @@ func (qp *QP) ReadBatch(at simnet.Time, reqs []ReadReq) (simnet.Time, error) {
 
 	// Validate everything before touching timing or data: a malformed
 	// batch is a caller bug and should not half-execute gratuitously.
-	mrs := make([]*MR, len(reqs))
-	for i, r := range reqs {
+	var short [shortChain]*MR
+	mrs := short[:0]
+	if len(reqs) > shortChain {
+		mrs = make([]*MR, 0, len(reqs))
+	}
+	for _, r := range reqs {
 		if r.Raddr.Region.Node != target.id {
 			return at, fmt.Errorf("rdma: batch read from %s via qp connected to %s",
 				r.Raddr.Region.Node, target.id)
@@ -58,7 +67,7 @@ func (qp *QP) ReadBatch(at simnet.Time, reqs []ReadReq) (simnet.Time, error) {
 		if err != nil {
 			return at, err
 		}
-		mrs[i] = mr
+		mrs = append(mrs, mr)
 	}
 
 	// One doorbell for the whole chain.
@@ -97,6 +106,7 @@ func (qp *QP) WriteBatch(at simnet.Time, reqs []WriteReq) (simnet.Time, error) {
 	if len(reqs) == 0 {
 		return at, nil
 	}
+	qp.node.fabric.verbWrites.Add(int64(len(reqs))) // one WRITE per WQE, as k scalar writes would count
 	peer, err := qp.remote()
 	if err != nil {
 		return at, err
@@ -106,8 +116,12 @@ func (qp *QP) WriteBatch(at simnet.Time, reqs []WriteReq) (simnet.Time, error) {
 
 	// Validate everything before touching timing or data: a malformed
 	// batch is a caller bug and should not half-execute gratuitously.
-	mrs := make([]*MR, len(reqs))
-	for i, r := range reqs {
+	var short [shortChain]*MR
+	mrs := short[:0]
+	if len(reqs) > shortChain {
+		mrs = make([]*MR, 0, len(reqs))
+	}
+	for _, r := range reqs {
 		if r.Raddr.Region.Node != target.id {
 			return at, fmt.Errorf("rdma: batch write to %s via qp connected to %s",
 				r.Raddr.Region.Node, target.id)
@@ -116,7 +130,7 @@ func (qp *QP) WriteBatch(at simnet.Time, reqs []WriteReq) (simnet.Time, error) {
 		if err != nil {
 			return at, err
 		}
-		mrs[i] = mr
+		mrs = append(mrs, mr)
 	}
 
 	// One doorbell for the whole chain; the payloads then serialize out

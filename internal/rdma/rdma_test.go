@@ -498,10 +498,12 @@ func TestReadBatchCheaperThanSequential(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = ReadReq{Dst: make([]byte, 64), Raddr: RemoteAddr{Region: mr.Handle(), Offset: int64(i) * 64}}
 	}
+	fabric := client.Node().fabric
 	batchEnd, err := client.ReadBatch(0, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	chained := fabric.VerbCounts().Reads
 	var now simnet.Time
 	for i := 0; i < k; i++ {
 		buf := make([]byte, 64)
@@ -510,6 +512,11 @@ func TestReadBatchCheaperThanSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		now = end
+	}
+	// The verb mix counts WQEs, not doorbells: k reads are k reads
+	// whether posted as one chain or as k scalars.
+	if scalars := fabric.VerbCounts().Reads - chained; chained != k || scalars != k {
+		t.Fatalf("verb mix: chain of %d counted %d reads, %d scalars counted %d", k, chained, k, scalars)
 	}
 	if simnet.Duration(batchEnd)*3 > simnet.Duration(now) {
 		t.Fatalf("batch %v not <1/3 of sequential %v", simnet.Duration(batchEnd), simnet.Duration(now))
@@ -577,10 +584,12 @@ func TestWriteBatchCheaperThanSequential(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = WriteReq{Src: make([]byte, 64), Raddr: RemoteAddr{Region: mr.Handle(), Offset: int64(i) * 64}}
 	}
+	fabric := client.Node().fabric
 	batchEnd, err := client.WriteBatch(0, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	chained := fabric.VerbCounts().Writes
 	var now simnet.Time
 	for i := 0; i < k; i++ {
 		end, err := client.Write(now, make([]byte, 64), RemoteAddr{Region: mr.Handle(), Offset: int64(i) * 64})
@@ -589,8 +598,30 @@ func TestWriteBatchCheaperThanSequential(t *testing.T) {
 		}
 		now = end
 	}
+	if scalars := fabric.VerbCounts().Writes - chained; chained != k || scalars != k {
+		t.Fatalf("verb mix: chain of %d counted %d writes, %d scalars counted %d", k, chained, k, scalars)
+	}
 	if simnet.Duration(batchEnd)*3 > simnet.Duration(now) {
 		t.Fatalf("batch %v not <1/3 of sequential %v", simnet.Duration(batchEnd), simnet.Duration(now))
+	}
+}
+
+func TestWriteBatchOfOneCostsWhatWriteDoes(t *testing.T) {
+	// Every scalar gwrite is posted as a chain of one, so a chain of one
+	// must complete at the instant the scalar verb would have.
+	payload := bytes.Repeat([]byte{7}, 1024)
+	scalar, _, mr := testPair(t, hmem.KindNVM, 1<<16)
+	want, err := scalar.Write(100, payload, RemoteAddr{Region: mr.Handle(), Offset: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, _, mr := testPair(t, hmem.KindNVM, 1<<16)
+	got, err := chain.WriteBatch(100, []WriteReq{{Src: payload, Raddr: RemoteAddr{Region: mr.Handle(), Offset: 64}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("chain of one completes at %v, scalar write at %v", got, want)
 	}
 }
 

@@ -203,8 +203,8 @@ func TestWriteThroughRefreshesPromotedCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var w rpc.Writer
-	w.U64(uint64(addr.Add(100))).U32(uint32(len(patch)))
-	if _, _, err := ctl.Call(0, KindWriteThrough, w.Bytes()); err != nil {
+	w.U32(1).U64(uint64(addr.Add(100))).U32(uint32(len(patch)))
+	if _, _, err := ctl.Call(0, KindWriteThroughBatch, w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	host, _ := c.Registry().ByNode(loc.Node)

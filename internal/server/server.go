@@ -43,7 +43,6 @@ const (
 	KindDigest
 	KindRemapFetch
 	KindOpenSession
-	KindWriteThrough
 	KindCloseSession
 	KindWriteThroughBatch
 )
@@ -138,7 +137,6 @@ func New(f *rdma.Fabric, id uint16, cfg config.Cluster) (*Server, error) {
 	s.rpcSrv.Handle(KindDigest, s.handleDigest)
 	s.rpcSrv.Handle(KindRemapFetch, s.handleRemapFetch)
 	s.rpcSrv.Handle(KindOpenSession, s.handleOpenSession)
-	s.rpcSrv.Handle(KindWriteThrough, s.handleWriteThrough)
 	s.rpcSrv.Handle(KindCloseSession, s.handleCloseSession)
 	s.rpcSrv.Handle(KindWriteThroughBatch, s.handleWriteThroughBatch)
 	return s, nil
@@ -289,24 +287,13 @@ func (s *Server) handleCloseSession(at simnet.Time, req *rpc.Reader) ([]byte, si
 	return nil, at, s.eng.CloseRing(base)
 }
 
-// handleWriteThrough keeps a promoted copy coherent after a client wrote
-// the home NVM directly (the proxy-disabled path): the server re-reads
-// the just-written NVM range and refreshes the DRAM copy synchronously,
-// so the RPC reply is the client's coherence point.
-func (s *Server) handleWriteThrough(at simnet.Time, req *rpc.Reader) ([]byte, simnet.Time, error) {
-	addr := region.GAddr(req.U64())
-	size := int64(req.U32())
-	if err := req.Err(); err != nil {
-		return nil, at, err
-	}
-	end, err := s.refreshCopy(at, addr, size)
-	return nil, end, err
-}
-
-// handleWriteThroughBatch is the vectored form of handleWriteThrough:
-// one RPC refreshes the promoted copies of a whole batched write chain,
-// so a k-record direct-path burst pays one control-plane round trip
-// instead of k. Ranges are refreshed in request order.
+// handleWriteThroughBatch keeps promoted copies coherent after a client
+// wrote the home NVM directly (the proxy-disabled path): the server
+// re-reads the just-written NVM ranges and refreshes the DRAM copies
+// synchronously, so the RPC reply is the client's coherence point. One
+// RPC covers a whole write chain — a k-record direct-path burst pays
+// one control-plane round trip instead of k. Ranges are refreshed in
+// request order.
 func (s *Server) handleWriteThroughBatch(at simnet.Time, req *rpc.Reader) ([]byte, simnet.Time, error) {
 	n := int(req.U32())
 	end := at
@@ -316,20 +303,13 @@ func (s *Server) handleWriteThroughBatch(at simnet.Time, req *rpc.Reader) ([]byt
 		if err := req.Err(); err != nil {
 			return nil, at, err
 		}
+		if addr.Server() != s.id {
+			return nil, at, fmt.Errorf("%w: %v", ErrNotHome, addr)
+		}
 		var err error
-		end, err = s.refreshCopy(end, addr, size)
-		if err != nil {
+		if end, err = s.eng.RefreshCopy(end, addr, size); err != nil {
 			return nil, at, err
 		}
 	}
 	return nil, end, req.Err()
-}
-
-// refreshCopy re-reads the just-written NVM range and refreshes the
-// promoted DRAM copy covering it, if any.
-func (s *Server) refreshCopy(at simnet.Time, addr region.GAddr, size int64) (simnet.Time, error) {
-	if addr.Server() != s.id {
-		return at, fmt.Errorf("%w: %v", ErrNotHome, addr)
-	}
-	return s.eng.RefreshCopy(at, addr, size)
 }

@@ -281,13 +281,13 @@ func TestWriteThroughRPC(t *testing.T) {
 	s, _ := c.Registry().ByID(1)
 	ctl := dial(t, c, s, "client-a")
 	var w rpc.Writer
-	w.U64(uint64(region.MustGAddr(2, 64))).U32(8)
-	if _, _, err := ctl.Call(0, KindWriteThrough, w.Bytes()); err == nil {
+	w.U32(1).U64(uint64(region.MustGAddr(2, 64))).U32(8)
+	if _, _, err := ctl.Call(0, KindWriteThroughBatch, w.Bytes()); err == nil {
 		t.Fatal("wrong-home write-through accepted")
 	}
 	var w2 rpc.Writer
-	w2.U64(uint64(region.MustGAddr(1, 64))).U32(8)
-	if _, _, err := ctl.Call(0, KindWriteThrough, w2.Bytes()); err != nil {
+	w2.U32(1).U64(uint64(region.MustGAddr(1, 64))).U32(8)
+	if _, _, err := ctl.Call(0, KindWriteThroughBatch, w2.Bytes()); err != nil {
 		t.Fatalf("unknown-object write-through: %v", err)
 	}
 }

@@ -70,9 +70,6 @@ type PoolConfig struct {
 	// Lease is the lock lease requested by this client; 0 selects
 	// DefaultLease.
 	Lease time.Duration
-	// KeepAlive is the TCP keep-alive probe period on dialed
-	// connections; 0 selects 30s, negative disables probing.
-	KeepAlive time.Duration
 	// TraceSample opens a client span (and propagates its trace ID to
 	// the daemon) on one in every N data operations; 0 disables
 	// tracing entirely — the zero-allocation default.
@@ -88,9 +85,6 @@ func (c *PoolConfig) fill() error {
 	}
 	if c.Lease == 0 {
 		c.Lease = DefaultLease
-	}
-	if c.KeepAlive == 0 {
-		c.KeepAlive = defaultKeepAlive
 	}
 	return nil
 }
@@ -161,7 +155,7 @@ func dialServer(addr string, cfg *PoolConfig, frames *framePool) (*serverConn, e
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: dial %s: %w", addr, err)
 	}
-	tuneConn(nc, cfg.KeepAlive)
+	tuneConn(nc, defaultKeepAlive)
 	sc := &serverConn{
 		addr:    addr,
 		c:       nc,

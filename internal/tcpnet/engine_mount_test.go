@@ -94,7 +94,7 @@ func TestFeatureSwitchesOverTCP(t *testing.T) {
 	})
 	// The hello handshake reports both features off.
 	var frames framePool
-	sc, err := dialServer(addrs[0], &PoolConfig{Timeout: time.Second, KeepAlive: defaultKeepAlive}, &frames)
+	sc, err := dialServer(addrs[0], &PoolConfig{Timeout: time.Second}, &frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestFeatureSwitchesOverTCP(t *testing.T) {
 
 	// The default deployment advertises both features.
 	full := startServers(t, 1, func(c *ServerConfig) { c.ID = 7 })
-	sc2, err := dialServer(full[0], &PoolConfig{Timeout: time.Second, KeepAlive: defaultKeepAlive}, &frames)
+	sc2, err := dialServer(full[0], &PoolConfig{Timeout: time.Second}, &frames)
 	if err != nil {
 		t.Fatal(err)
 	}

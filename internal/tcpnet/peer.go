@@ -65,15 +65,11 @@ type peerLink struct {
 	done   chan struct{}
 }
 
-func newPeerLink(addr string, homeID uint16, frames *framePool, keepAlive time.Duration) *peerLink {
+func newPeerLink(addr string, homeID uint16, frames *framePool) *peerLink {
 	return &peerLink{
 		addr:   addr,
 		homeID: homeID,
-		dial: PoolConfig{
-			Addrs:     []string{addr},
-			Timeout:   peerDialTimeout,
-			KeepAlive: keepAlive,
-		},
+		dial:   PoolConfig{Addrs: []string{addr}, Timeout: peerDialTimeout},
 		frames: frames,
 		done:   make(chan struct{}),
 	}
@@ -272,10 +268,10 @@ type peerSet struct {
 	rr    atomic.Uint64 // placement round-robin cursor
 }
 
-func newPeerSet(addrs []string, homeID uint16, frames *framePool, keepAlive time.Duration) *peerSet {
+func newPeerSet(addrs []string, homeID uint16, frames *framePool) *peerSet {
 	ps := &peerSet{}
 	for _, a := range addrs {
-		ps.links = append(ps.links, newPeerLink(a, homeID, frames, keepAlive))
+		ps.links = append(ps.links, newPeerLink(a, homeID, frames))
 	}
 	return ps
 }

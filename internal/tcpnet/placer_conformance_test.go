@@ -31,7 +31,7 @@ func TestPeerPlacerConformance(t *testing.T) {
 		t.Cleanup(eng.Close)
 
 		var frames framePool
-		ps := newPeerSet(peerAddrs, 1, &frames, defaultKeepAlive)
+		ps := newPeerSet(peerAddrs, 1, &frames)
 		t.Cleanup(ps.close)
 		// Dial eagerly so the link's node name is known before the first
 		// placement (production daemons do this via the background watch).

@@ -33,8 +33,6 @@ type ServerConfig struct {
 	// RingBytes sizes the staging-ring arena backing proxied writes;
 	// 0 selects 8 MiB.
 	RingBytes int64
-	// LockSlots sizes the lock table (power of two); 0 selects 16384.
-	LockSlots int
 	// DigestEvery is how many data accesses the daemon folds into one
 	// server-side hotness digest; 0 selects 64.
 	DigestEvery int
@@ -86,9 +84,6 @@ func (c *ServerConfig) fill() error {
 	if c.RingBytes == 0 {
 		c.RingBytes = 8 << 20
 	}
-	if c.LockSlots == 0 {
-		c.LockSlots = 1 << 14
-	}
 	if c.DigestEvery < 0 {
 		return fmt.Errorf("tcpnet: digest interval %d is negative", c.DigestEvery)
 	}
@@ -116,7 +111,6 @@ func (c *ServerConfig) cluster() config.Cluster {
 	cc.NVMBytes = c.PoolBytes
 	cc.DRAMBufferBytes = c.CacheBytes
 	cc.RingBytes = c.RingBytes
-	cc.LockSlots = c.LockSlots
 	cc.Features = config.Features{Cache: !c.NoCache, Proxy: !c.NoProxy}
 	cc.Proxy.FlushAdaptive = c.FlushAdaptive
 	cc.Proxy.FlushMaxLag = c.FlushMaxLag
@@ -237,7 +231,7 @@ func NewPoolServer(cfg ServerConfig) (*PoolServer, error) {
 	// Peers are indexed by their position in cfg.Peers for telemetry —
 	// the stable identity a link has before (and across) connects.
 	if len(cfg.Peers) > 0 && !cfg.NoCache {
-		s.peers = newPeerSet(cfg.Peers, cfg.ID, &s.frames, cfg.KeepAlive)
+		s.peers = newPeerSet(cfg.Peers, cfg.ID, &s.frames)
 		for i, l := range s.peers.links {
 			l := l
 			pl := telemetry.L("peer", strconv.Itoa(i))
@@ -526,25 +520,30 @@ func (s *PoolServer) serveConn(conn net.Conn) {
 
 // parks reports whether an op may block the handling goroutine: lock
 // acquires wait out contention, frees and exclusive unlocks drain the
-// session's staged writes, and stages park when the ring is out of
-// credits. An unlock with nothing staged has nothing to wait for and
-// stays inline. The credit probe is advisory — a concurrent stage can
-// still win the last slot — so an inline write may briefly wait on the
-// flusher; that is bounded and deadlock-free (the flusher runs
-// independently).
+// session's staged writes, and stages park when the ring has fewer
+// credits than the frame needs. An unlock with nothing staged has
+// nothing to wait for and stays inline. The credit probe is advisory —
+// a concurrent stage can still win the last slot — so an inline write
+// may briefly wait on the flusher; that is bounded and deadlock-free
+// (the flusher runs independently).
 func parks(sess *session, op Op, payload []byte) bool {
 	switch op {
 	case OpLockEx, OpLockSh, OpFree:
 		return true
 	case OpUnlockEx:
 		return sess.writer != nil && sess.writer.PendingCount() > 0
-	case OpWrite:
-		return sess.writer != nil && sess.writer.FreeSlots() < 1
-	case OpWriteBatch:
-		if sess.writer == nil || len(payload) < 4 {
+	case OpWrite, OpWriteBatch:
+		if sess.writer == nil {
 			return false
 		}
-		return sess.writer.FreeSlots() < int(binary.BigEndian.Uint32(payload))
+		// The slots the frame needs, estimated without parsing a record:
+		// one per record, or what its bytes fill when records are larger
+		// than a slot.
+		need := 1
+		if op == OpWriteBatch && len(payload) >= 4 {
+			need = int(binary.BigEndian.Uint32(payload))
+		}
+		return sess.writer.FreeSlots() < max(need, len(payload)/sess.writer.Ring().MaxPayload())
 	}
 	return false
 }
@@ -703,15 +702,20 @@ func (s *PoolServer) handle(sess *session, op Op, req *payloadReader, sp *span.S
 		out := b[frameHeader+4 : frameHeader+4+int(n)]
 		sp.SetTarget(uint64(addr), int(n))
 		sp.Mark(span.StageDispatch)
+		// Read-your-writes: overlay this session's staged-but-unflushed
+		// records, exactly as the RDMA client library does — pinned from
+		// before the read (see proxy.Writer.Pin).
+		if sess.writer != nil {
+			sess.writer.Pin()
+		}
 		_, src, err := s.eng.ReadAt(s.eng.Now(), addr, out)
+		if sess.writer != nil {
+			sess.writer.ApplyPending(addr, out)
+			sess.writer.Unpin()
+		}
 		if err != nil {
 			s.frames.put(f)
 			return nil, err
-		}
-		// Read-your-writes: overlay this session's staged-but-unflushed
-		// records, exactly as the RDMA client library does.
-		if sess.writer != nil {
-			sess.writer.ApplyPending(addr, out)
 		}
 		b[frameHeader+4+int(n)] = byte(src)
 		switch src {
@@ -727,43 +731,30 @@ func (s *PoolServer) handle(sess *session, op Op, req *payloadReader, sp *span.S
 		return f, nil
 
 	case OpWrite:
-		addr, err := s.homeAddr(req)
-		if err != nil {
-			return nil, err
-		}
-		data := req.Blob()
+		// A lone write is a chain of one, decoded on the stack.
+		var one [1]proxy.StageReq
+		one[0].Addr = region.GAddr(req.U64())
+		one[0].Data = req.Blob()
 		if err := req.Err(); err != nil {
 			return nil, err
 		}
-		sp.SetTarget(uint64(addr), len(data))
-		sp.Mark(span.StageDispatch)
-		return nil, s.writeOne(sess, addr, data, sp)
+		sp.SetTarget(uint64(one[0].Addr), len(one[0].Data))
+		return nil, s.writeChain(sess, one[:], sp)
 
 	case OpWriteBatch:
 		n, err := recordCount(req, writeRecordMin)
 		if err != nil {
 			return nil, err
 		}
-		reqs := make([]proxy.StageReq, 0, n)
-		for i := 0; i < n; i++ {
-			addr := region.GAddr(req.U64())
-			data := req.Blob()
-			if err := req.Err(); err != nil {
-				return nil, err
-			}
-			if addr.Server() != s.cfg.ID {
-				return nil, fmt.Errorf("tcpnet: %v not homed on server %d", addr, s.cfg.ID)
-			}
-			if addr.Offset()+int64(len(data)) > s.cfg.PoolBytes {
-				return nil, fmt.Errorf("tcpnet: write [%d,%d) out of pool", addr.Offset(), addr.Offset()+int64(len(data)))
-			}
-			reqs = append(reqs, proxy.StageReq{Addr: addr, NvmOff: addr.Offset(), Data: data})
+		reqs := make([]proxy.StageReq, n)
+		for i := range reqs {
+			reqs[i].Addr = region.GAddr(req.U64())
+			reqs[i].Data = req.Blob()
 		}
-		sp.Mark(span.StageDispatch)
-		if err := s.writeBatch(sess, reqs, sp); err != nil {
+		if err := req.Err(); err != nil {
 			return nil, err
 		}
-		return nil, nil
+		return nil, s.writeChain(sess, reqs, sp)
 
 	case OpDigest:
 		n, err := recordCount(req, digestEntryBytes)
@@ -937,61 +928,42 @@ func (s *PoolServer) handle(sess *session, op Op, req *payloadReader, sp *span.S
 	}
 }
 
-// writeOne lands one write: staged into the session's ring (acknowledged
-// before the NVM flush, like the paper's proxied writes) when it fits,
-// written through to the pool otherwise. The span stage tells the two
-// apart: ringStage covers staging (including any credit backpressure
-// wait), flushPersist covers an inline write-through.
-func (s *PoolServer) writeOne(sess *session, addr region.GAddr, data []byte, sp *span.Span) error {
-	if addr.Offset()+int64(len(data)) > s.cfg.PoolBytes {
-		return fmt.Errorf("tcpnet: write [%d,%d) out of pool", addr.Offset(), addr.Offset()+int64(len(data)))
-	}
-	at := s.eng.Now()
-	var err error
-	if sess.writer != nil && len(data) <= sess.writer.Ring().MaxPayload() {
-		_, err = sess.writer.Stage(at, addr, addr.Offset(), data)
-		sp.Mark(span.StageRingStage)
-	} else {
-		_, err = s.eng.WriteNVM(at, addr, data)
-		sp.Mark(span.StageFlushPersist)
-	}
-	if err != nil {
-		return err
-	}
-	sess.observe(addr, true)
-	s.rxBytes.Add(int64(len(data)))
-	return nil
-}
-
-// writeBatch lands a batched write chain. When every record fits the
-// ring it stages the whole chain at once (the TCP analogue of the
-// doorbell-batched WRITE chain); otherwise records land one by one.
-func (s *PoolServer) writeBatch(sess *session, reqs []proxy.StageReq, sp *span.Span) error {
-	allFit := sess.writer != nil
-	if sess.writer != nil {
-		maxPayload := sess.writer.Ring().MaxPayload()
-		for _, r := range reqs {
-			if len(r.Data) > maxPayload {
-				allFit = false
-				break
-			}
+// writeChain lands a decoded write chain — the one write body of the
+// TCP mount. With a ring the whole chain is staged (acknowledged before
+// the NVM flush, like the paper's proxied writes; proxy.Writer cuts
+// records to slot size, so a write of any size keeps its place in the
+// session's order). Only a session without a ring — NoProxy, or rings
+// exhausted at connect — writes through to the pool. The span stage
+// tells the two apart: ringStage covers staging (including any credit
+// backpressure wait), flushPersist an inline write-through.
+func (s *PoolServer) writeChain(sess *session, reqs []proxy.StageReq, sp *span.Span) error {
+	for i := range reqs {
+		r := &reqs[i]
+		if r.Addr.Server() != s.cfg.ID {
+			return fmt.Errorf("tcpnet: %v not homed on server %d", r.Addr, s.cfg.ID)
+		}
+		r.NvmOff = r.Addr.Offset()
+		if r.NvmOff+int64(len(r.Data)) > s.cfg.PoolBytes {
+			return fmt.Errorf("tcpnet: write [%d,%d) out of pool", r.NvmOff, r.NvmOff+int64(len(r.Data)))
 		}
 	}
-	if allFit && len(reqs) > 0 {
+	sp.Mark(span.StageDispatch)
+	if sess.writer != nil {
 		if _, err := sess.writer.StageMulti(s.eng.Now(), reqs); err != nil {
 			return err
 		}
 		sp.Mark(span.StageRingStage)
+	} else {
 		for _, r := range reqs {
-			sess.observe(r.Addr, true)
-			s.rxBytes.Add(int64(len(r.Data)))
+			if _, err := s.eng.WriteNVM(s.eng.Now(), r.Addr, r.Data); err != nil {
+				return err
+			}
 		}
-		return nil
+		sp.Mark(span.StageFlushPersist)
 	}
 	for _, r := range reqs {
-		if err := s.writeOne(sess, r.Addr, r.Data, sp); err != nil {
-			return err
-		}
+		sess.observe(r.Addr, true)
+		s.rxBytes.Add(int64(len(r.Data)))
 	}
 	return nil
 }

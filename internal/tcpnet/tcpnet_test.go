@@ -62,9 +62,6 @@ func TestServerConfigValidation(t *testing.T) {
 	if _, err := NewPoolServer(ServerConfig{ID: 1, PoolBytes: 1000}); err == nil {
 		t.Fatal("non-pow2 pool accepted")
 	}
-	if _, err := NewPoolServer(ServerConfig{ID: 1, PoolBytes: 1 << 20, LockSlots: 3}); err == nil {
-		t.Fatal("non-pow2 lock slots accepted")
-	}
 }
 
 func TestDialErrors(t *testing.T) {

@@ -565,8 +565,9 @@ func (q *frameQueue) close() {
 // ---------------------------------------------------------------------
 // Connection tuning.
 
-// defaultKeepAlive is the keep-alive probe period selected when a
-// config leaves it zero.
+// defaultKeepAlive is the keep-alive probe period on every dialed
+// connection, and on accepted ones unless ServerConfig.KeepAlive says
+// otherwise.
 const defaultKeepAlive = 30 * time.Second
 
 // tuneConn applies the transport settings to a TCP connection: explicit

@@ -117,9 +117,11 @@ func (s Stage) String() string {
 // histograms for every tracer wired to a telemetry registry.
 const StageMetric = "gengar_trace_stage_seconds"
 
-// maxMarks bounds the in-struct mark array. The deepest current path
-// (multi-record batches marking per record) can exceed it; overflow
-// marks are counted, not stored, so a span never allocates to grow.
+// maxMarks bounds the in-struct mark array. Repeated marks of one stage
+// (a multi-frame chain marking encode per frame) share a slot, so it is
+// the number of distinct consecutive stages on the deepest path that
+// must fit; overflow marks are counted, not stored, so a span never
+// allocates to grow.
 const maxMarks = 8
 
 // mark is one recorded stage boundary: the stage that just ended and
@@ -174,9 +176,17 @@ func (s *Span) Mark(st Stage) {
 }
 
 // MarkAt records that stage st ended at instant at — for callers that
-// already hold an instant (the simulated mount's virtual timeline).
+// already hold an instant (the simulated mount's virtual timeline). A
+// mark of the stage just marked extends that segment instead of opening
+// another: the time attributed to the stage is the same, and the stage
+// histogram gets one observation per op. (Not once marks were dropped:
+// the segment would swallow the dropped stages' time.)
 func (s *Span) MarkAt(st Stage, at int64) {
 	if s == nil {
+		return
+	}
+	if s.n > 0 && s.marks[s.n-1].stage == st && s.dropped == 0 {
+		s.marks[s.n-1].at = at
 		return
 	}
 	if s.n == len(s.marks) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -141,12 +142,33 @@ func TestMarkOverflowCounted(t *testing.T) {
 	sp := tr.Start("write_batch")
 	for i := 0; i < maxMarks+3; i++ {
 		clk.advance(10)
-		sp.Mark(StageRingStage)
+		sp.Mark([]Stage{StageRingStage, StageNVMCopy}[i%2])
 	}
 	sp.Finish()
 	recs := tr.Records()
 	if len(recs) != 1 || recs[0].Dropped != 3 || len(recs[0].Stages) != maxMarks {
 		t.Fatalf("ring = %+v", recs)
+	}
+}
+
+func TestRepeatedMarksShareASlot(t *testing.T) {
+	// An 8-frame ReadMulti marks encode once per frame; the span must
+	// still have room for the stages after it.
+	tr, clk := newClocked(Config{SampleEvery: 1})
+	sp := tr.Start("read")
+	for i := 0; i < 8; i++ {
+		clk.advance(10)
+		sp.Mark(StageEncode)
+	}
+	clk.advance(200)
+	sp.Mark(StageNetWait)
+	clk.advance(5)
+	sp.Mark(StageDecode)
+	sp.Finish()
+	recs := tr.Records()
+	want := []StageLatency{{"encode", 80}, {"netWait", 200}, {"decode", 5}}
+	if len(recs) != 1 || recs[0].Dropped != 0 || !reflect.DeepEqual(recs[0].Stages, want) {
+		t.Fatalf("ring = %+v, want stages %+v and nothing dropped", recs, want)
 	}
 }
 
