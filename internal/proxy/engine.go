@@ -77,6 +77,14 @@ type record struct {
 	slotFree chan<- struct{} // signaled once the payload left the ring
 }
 
+// workItem is what a worker channel carries: a staged record, or (task
+// non-nil) an exclusive task from Submit or Barrier. A concrete element
+// type, so neither send boxes its value on the heap.
+type workItem struct {
+	rec  record
+	task func()
+}
+
 // EngineStats is a snapshot of flusher activity.
 type EngineStats struct {
 	Staged         int64
@@ -127,7 +135,7 @@ type Engine struct {
 	cacheApply CacheApply
 	pacer      *pacer
 
-	workers []chan any // record or func() per worker
+	workers []chan workItem // one queue per worker
 	wg      sync.WaitGroup
 	once    sync.Once
 
@@ -182,7 +190,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		pacer: newPacer(cfg.FlushAdaptive, cfg.FlushMaxLag, func() simnet.Time {
 			return nvm.ControllerBusyUntil()
 		}),
-		workers: make([]chan any, flushWorkers),
+		workers: make([]chan workItem, flushWorkers),
 	}
 	// The pacer's pressure signal is every foreground NVM read — wired at
 	// the device so one-sided RDMA reads, which never pass through the
@@ -198,7 +206,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		// would otherwise process records whose virtual timestamps lie
 		// deep in the past, retroactively perturbing shared resource
 		// timelines that concurrent clients have already moved past.
-		ch := make(chan any, 8)
+		ch := make(chan workItem, 8)
 		e.workers[i] = ch
 		e.wg.Add(1)
 		go func() {
@@ -209,15 +217,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-func (e *Engine) workerLoop(ch chan any) {
+func (e *Engine) workerLoop(ch chan workItem) {
 	b := &flushBatch{}
 	for item := range ch {
-		if task, ok := item.(func()); ok {
-			task()
+		if item.task != nil {
+			item.task()
 			continue
 		}
 		b.reset()
-		b.add(item.(record))
+		b.add(item.rec)
 		pending := e.drainInto(b, ch)
 		e.flushSweep(b)
 		// An exclusive task encountered mid-drain runs only after the
@@ -233,7 +241,7 @@ func (e *Engine) workerLoop(ch chan any) {
 // drainInto opportunistically drains queued records into b, up to the
 // pacer's current batch cap. It stops at an empty queue, a closed
 // channel, or an exclusive task — which is returned, not run.
-func (e *Engine) drainInto(b *flushBatch, ch chan any) func() {
+func (e *Engine) drainInto(b *flushBatch, ch chan workItem) func() {
 	limit := e.pacer.batchLimit()
 	for len(b.recs) < limit {
 		select {
@@ -241,10 +249,10 @@ func (e *Engine) drainInto(b *flushBatch, ch chan any) func() {
 			if !ok {
 				return nil
 			}
-			if task, ok := item.(func()); ok {
-				return task
+			if item.task != nil {
+				return item.task
 			}
-			b.add(item.(record))
+			b.add(item.rec)
 		default:
 			return nil
 		}
@@ -392,7 +400,7 @@ func (e *Engine) enqueue(rec record) error {
 	e.pacer.observeStaged(rec.stagedAt)
 	// The send happens outside e.mu: a backed-up worker queue must stall
 	// only this producer, never Close/Submit/Barrier or other rings.
-	ch <- rec
+	ch <- workItem{rec: rec}
 	e.inflight.Done()
 	return nil
 }
@@ -418,10 +426,10 @@ func (e *Engine) Submit(task func()) error {
 	release := make(chan struct{})
 	reached.Add(len(workers))
 	for _, ch := range workers {
-		ch <- func() {
+		ch <- workItem{task: func() {
 			reached.Done()
 			<-release
-		}
+		}}
 	}
 	e.inflight.Done()
 	reached.Wait()
@@ -446,7 +454,7 @@ func (e *Engine) Barrier() error {
 	var wg sync.WaitGroup
 	wg.Add(len(workers))
 	for _, ch := range workers {
-		ch <- func() { wg.Done() }
+		ch <- workItem{task: wg.Done}
 	}
 	e.inflight.Done()
 	wg.Wait()

@@ -36,3 +36,29 @@ func TestCoalesceAllocFree(t *testing.T) {
 		t.Fatalf("coalescing allocates %v allocs per batch on the flush path, want 0", allocs)
 	}
 }
+
+// TestEnqueueAllocFree pins the hand-off of a staged record to its flush
+// worker at zero allocations: the worker channel carries a concrete item
+// type, so the send does not box the record, and the sweep that applies
+// it runs on warm scratch. Race-mode coverage of enqueue is every Stage
+// test in proxy_test.go.
+func TestEnqueueAllocFree(t *testing.T) {
+	h := newHarness(t, 8, 256, nil)
+	acks := make(chan Ack, 1)
+	free := make(chan struct{}, 1)
+	rec := record{ringID: 1, addr: gaddr(0), size: 128, stagedAt: 1, acks: acks, slotFree: free}
+	cycle := func() {
+		rec.seq++
+		if err := h.engine.enqueue(rec); err != nil {
+			t.Fatal(err)
+		}
+		<-free
+		<-acks // the record is applied; the worker is idle again
+	}
+	for i := 0; i < 64; i++ { // grow the worker's batch scratch
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("enqueue→flush: %v allocs per record, want 0", allocs)
+	}
+}

@@ -654,3 +654,50 @@ func holdFlushers(t *testing.T, e *Engine) (release func()) {
 		}
 	}
 }
+
+// TestReservePendingSlidesBeforeGrowing pins the pending set's storage
+// rule: entries popped off the front leave room that the next stage
+// reclaims by sliding the live entries back to the array's start, and
+// the array is replaced only when the live entries really fill it.
+func TestReservePendingSlidesBeforeGrowing(t *testing.T) {
+	w := &Writer{}
+	stage := func(n int) {
+		w.reservePending(n)
+		for i := 0; i < n; i++ {
+			if len(w.pending) == cap(w.pending) {
+				t.Fatalf("append would reallocate after reservePending(%d)", n)
+			}
+			w.pending = append(w.pending, pendingWrite{seq: w.nextSeq})
+			w.nextSeq++
+		}
+	}
+	check := func(first uint64, n int) {
+		t.Helper()
+		if len(w.pending) != n {
+			t.Fatalf("%d pending, want %d", len(w.pending), n)
+		}
+		for i, p := range w.pending {
+			if p.seq != first+uint64(i) {
+				t.Fatalf("pending[%d] is seq %d, want %d", i, p.seq, first+uint64(i))
+			}
+		}
+	}
+	stage(4) // array of 8
+	array := &w.pendStore[:1][0]
+	w.pending = w.pending[3:] // the flusher applied 0..2
+	stage(4)                  // fits the tail exactly
+	w.pending = w.pending[4:] // 3..6 applied; 7 is live at the array's end
+	stage(2)                  // tail exhausted, array 3/8 full: slide
+	check(7, 3)
+	if &w.pending[0] != array {
+		t.Fatal("live entries did not slide back to the start of the array")
+	}
+	if stale := w.pendStore[:8][7]; stale.seq != 0 {
+		t.Fatalf("moved entry left behind at the array's end: %+v", stale)
+	}
+	stage(10) // 13 live: the array must grow
+	check(7, 13)
+	if &w.pending[0] == array {
+		t.Fatal("13 entries in an array of 8")
+	}
+}

@@ -108,9 +108,13 @@ type Writer struct {
 	// backpressure builds before Stage starts blocking.
 	occHW metrics.Gauge
 
-	pendMu      sync.Mutex
-	cond        *sync.Cond
-	pending     []pendingWrite
+	pendMu  sync.Mutex
+	cond    *sync.Cond
+	pending []pendingWrite
+	// pendStore is the array pending lives in, from its start: flushed
+	// entries are sliced off pending's front, and reservePending slides
+	// the live ones back here instead of letting append reallocate.
+	pendStore   []pendingWrite
 	flushed     uint64 // sequence numbers below it are applied to NVM
 	lastApplied simnet.Time
 	closed      bool
@@ -355,6 +359,7 @@ func (w *Writer) stageChain(at simnet.Time, reqs []StageReq) (simnet.Time, error
 	}
 
 	w.pendMu.Lock()
+	w.reservePending(len(reqs))
 	for i, r := range reqs {
 		pb := getBuf(len(r.Data))
 		copy(*pb, r.Data)
@@ -394,6 +399,26 @@ func (w *Writer) stageChain(at simnet.Time, reqs []StageReq) (simnet.Time, error
 		}
 	}
 	return stagedAt, nil
+}
+
+// reservePending makes room for n more pending entries without an
+// allocation per staged record. popFlushed gives capacity away at the
+// front, so a tail that has run out does not mean a full array: if the
+// live entries and the n new ones fill at most half of it, they slide
+// back to its start (the two ranges cannot overlap then, and the move is
+// paid for by the entries popped since the last one); only otherwise
+// does the array grow. Caller holds pendMu.
+func (w *Writer) reservePending(n int) {
+	need := len(w.pending) + n
+	if need <= cap(w.pending) {
+		return
+	}
+	if 2*need > cap(w.pendStore) {
+		w.pendStore = make([]pendingWrite, 0, 2*need)
+	}
+	old := w.pending
+	w.pending = append(w.pendStore[:0], old...)
+	clear(old) // drop the moved entries' references to pooled buffers
 }
 
 // slotOff is the byte offset, from the ring's start, of the slot that

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gengar/internal/hotness"
@@ -90,11 +91,11 @@ func (c *PoolConfig) fill() error {
 }
 
 // Pool is a client of a set of gengard daemons: one TCP connection per
-// server, requests pipelined and demultiplexed by ID, with send-side
-// flush coalescing — frames started together (a WriteMulti chain, a
-// ReadMulti scan, concurrent callers) leave in one writev. It is safe
-// for concurrent use. A connection that dies is redialed transparently
-// on the next operation that needs it.
+// server, requests pipelined and demultiplexed by ID. A lone op is
+// written by its caller; a WriteMulti chain or ReadMulti scan leaves in
+// one writev, and concurrent callers coalesce behind whichever of them
+// is writing. It is safe for concurrent use. A connection that dies is
+// redialed transparently on the next operation that needs it.
 type Pool struct {
 	cfg PoolConfig
 
@@ -110,8 +111,8 @@ type Pool struct {
 	conns  map[uint16]*serverConn
 	order  []uint16
 	rr     int
-	lease  time.Duration
 	closed bool
+	lease  atomic.Int64 // time.Duration requested for lock leases
 
 	// redialMu serializes reconnection attempts so a burst of failing
 	// operations dials each dead server once, not once per caller.
@@ -133,7 +134,7 @@ type serverConn struct {
 	mu      sync.Mutex
 	nextID  uint64
 	pending map[uint64]chan response
-	closed  bool
+	closed  atomic.Bool // failed; written under mu, which start relies on
 	done    chan struct{}
 }
 
@@ -199,7 +200,8 @@ func DialConfig(cfg PoolConfig) (*Pool, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	p := &Pool{cfg: cfg, conns: make(map[uint16]*serverConn), lease: cfg.Lease}
+	p := &Pool{cfg: cfg, conns: make(map[uint16]*serverConn)}
+	p.lease.Store(int64(cfg.Lease))
 	if cfg.TraceSample > 0 {
 		p.tracer = span.NewTracer(span.Config{
 			Side:          "client",
@@ -226,10 +228,8 @@ func DialConfig(cfg PoolConfig) (*Pool, error) {
 
 // SetLease overrides the lock lease requested by this client.
 func (p *Pool) SetLease(d time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if d > 0 {
-		p.lease = d
+		p.lease.Store(int64(d))
 	}
 }
 
@@ -307,7 +307,7 @@ func (sc *serverConn) demux() {
 
 func (sc *serverConn) failAll(err error) {
 	sc.mu.Lock()
-	sc.closed = true
+	sc.closed.Store(true)
 	failed := make([]chan response, 0, len(sc.pending))
 	for id, ch := range sc.pending {
 		delete(sc.pending, id)
@@ -322,24 +322,21 @@ func (sc *serverConn) failAll(err error) {
 }
 
 // dead reports whether the connection has failed and needs redialing.
-func (sc *serverConn) dead() bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.closed
-}
+func (sc *serverConn) dead() bool { return sc.closed.Load() }
 
 // start registers a waiter and enqueues a request frame whose payload
-// was encoded in place over f via w. The returned channel receives
-// exactly one response; pass it to wait. Frames started back-to-back
-// before their waits coalesce into one writev. A non-nil sp means f was
-// reserved via opFrame with the trace extension in place; start sets
-// the matching tag bit and marks the span's encode stage.
+// was encoded in place over f via w — which writes it, unless the queue
+// is corked (a ReadMulti chain) or another caller is mid-write and takes
+// it along. The returned channel receives exactly one response; pass it
+// to wait. A non-nil sp means f was reserved via opFrame with the trace
+// extension in place; start sets the matching tag bit and marks the
+// span's encode stage (the write itself counts as netWait).
 //
 //gengar:hotpath
 func (sc *serverConn) start(f *[]byte, w *payloadWriter, op Op, sp *span.Span) (chan response, error) {
 	ch := waiters.Get().(chan response)
 	sc.mu.Lock()
-	if sc.closed {
+	if sc.closed.Load() {
 		sc.mu.Unlock()
 		waiters.Put(ch)
 		sc.frames.put(f)
@@ -359,11 +356,11 @@ func (sc *serverConn) start(f *[]byte, w *payloadWriter, op Op, sp *span.Span) (
 		sc.frames.put(f)
 		return nil, err
 	}
-	if err := sc.q.enqueue(f); err != nil {
+	sp.Mark(span.StageEncode)
+	if err := sc.q.enqueue(f, nil); err != nil {
 		sc.abort(id, ch)
 		return nil, fmt.Errorf("tcpnet: send: %w", err)
 	}
-	sp.Mark(span.StageEncode)
 	return ch, nil
 }
 
@@ -448,12 +445,12 @@ func (sc *serverConn) close() {
 	sc.q.close()
 }
 
-// connByID returns a live connection to the given server, redialing a
-// dead one. Unknown server IDs are an error.
+// connByID returns a live connection to the given server (one p.mu
+// section and one atomic load), redialing a dead one. Unknown server IDs
+// are an error.
 func (p *Pool) connByID(id uint16) (*serverConn, error) {
 	p.mu.Lock()
-	sc := p.conns[id]
-	closed := p.closed
+	sc, closed := p.conns[id], p.closed
 	p.mu.Unlock()
 	if closed {
 		return nil, ErrClosed
@@ -517,16 +514,6 @@ func (p *Pool) redial(id uint16, addr string) (*serverConn, error) {
 		id, addr, redialTries, lastErr)
 }
 
-func (p *Pool) conn(addr region.GAddr) (*serverConn, error) {
-	p.mu.Lock()
-	known := p.conns[addr.Server()] != nil
-	p.mu.Unlock()
-	if !known {
-		return nil, fmt.Errorf("tcpnet: no connection to server %d (%v)", addr.Server(), addr)
-	}
-	return p.connByID(addr.Server())
-}
-
 // Malloc allocates size bytes, choosing home servers round-robin.
 func (p *Pool) Malloc(size int64) (region.GAddr, error) {
 	p.mu.Lock()
@@ -576,7 +563,7 @@ func (p *Pool) Read(addr region.GAddr, buf []byte) error {
 //
 //gengar:hotpath
 func (p *Pool) ReadCheck(addr region.GAddr, buf []byte) (hit bool, err error) {
-	sc, err := p.conn(addr)
+	sc, err := p.connByID(addr.Server())
 	if err != nil {
 		return false, err
 	}
@@ -623,7 +610,7 @@ func decodeReadInto(sc *serverConn, resp response, buf []byte) (hit bool, err er
 //
 //gengar:hotpath
 func (p *Pool) Write(addr region.GAddr, data []byte) error {
-	sc, err := p.conn(addr)
+	sc, err := p.connByID(addr.Server())
 	if err != nil {
 		return err
 	}
@@ -649,11 +636,21 @@ type ReadReq struct {
 	Buf  []byte
 }
 
-// inflight tracks one started request awaiting its response.
+// inflight tracks one request of a chain: resolved to its connection,
+// then (ch set) started and awaiting its response.
 type inflight struct {
 	sc *serverConn
 	ch chan response
-	op Op
+}
+
+// corkChain corks (or uncorks) every connection a chain touches, once
+// per run of consecutive frames to it.
+func corkChain(chain []inflight, on bool) {
+	for i := range chain {
+		if i == 0 || chain[i].sc != chain[i-1].sc {
+			chain[i].sc.q.cork(on)
+		}
+	}
 }
 
 // ReadMulti fills every request's Buf — the wire analogue of the RDMA
@@ -665,31 +662,42 @@ func (p *Pool) ReadMulti(reqs []ReadReq) error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	started := make([]inflight, 0, len(reqs))
+	// Resolve the chain's connections before corking any: a redial may
+	// sleep, and nothing between cork and uncork may wait.
+	chain := make([]inflight, 0, len(reqs))
 	var firstErr error
-	var sp *span.Span
 	for i := range reqs {
-		sc, err := p.conn(reqs[i].Addr)
+		sc, err := p.connByID(reqs[i].Addr.Server())
 		if err != nil {
 			firstErr = err
 			break
 		}
-		if i == 0 {
-			sp = p.traceStart(sc, OpRead)
-		}
-		fsp := traceFor(sc, sp)
+		chain = append(chain, inflight{sc: sc})
+	}
+	var sp *span.Span
+	if len(chain) > 0 {
+		sp = p.traceStart(chain[0].sc, OpRead)
+	}
+	corkChain(chain, true) // each connection's share leaves in one writev
+	for i := range chain {
+		fl := &chain[i]
+		fsp := traceFor(fl.sc, sp)
 		var w payloadWriter
 		f := p.opFrame(fsp, &w, 12)
 		w.U64(uint64(reqs[i].Addr)).U32(uint32(len(reqs[i].Buf)))
-		ch, err := sc.start(f, &w, OpRead, fsp)
+		ch, err := fl.sc.start(f, &w, OpRead, fsp)
 		if err != nil {
 			firstErr = err
 			break
 		}
-		started = append(started, inflight{sc: sc, ch: ch, op: OpRead})
+		fl.ch = ch
 	}
-	for i, fl := range started {
-		resp, err := fl.sc.wait(fl.ch, fl.op, traceFor(fl.sc, sp))
+	corkChain(chain, false)
+	for i, fl := range chain {
+		if fl.ch == nil {
+			break // never started
+		}
+		resp, err := fl.sc.wait(fl.ch, OpRead, traceFor(fl.sc, sp))
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -752,10 +760,10 @@ func (p *Pool) WriteMulti(reqs []WriteReq) error {
 			firstErr = err
 			break
 		}
-		started = append(started, inflight{sc: sc, ch: ch, op: OpWriteBatch})
+		started = append(started, inflight{sc: sc, ch: ch})
 	}
 	for _, fl := range started {
-		resp, err := fl.sc.wait(fl.ch, fl.op, traceFor(fl.sc, sp))
+		resp, err := fl.sc.wait(fl.ch, OpWriteBatch, traceFor(fl.sc, sp))
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -812,7 +820,7 @@ func (p *Pool) Digest(entries []hotness.Entry) (map[uint16]uint64, error) {
 // Version returns the version word covering addr — bumped on every
 // exclusive-lock release, so readers can detect concurrent updates.
 func (p *Pool) Version(addr region.GAddr) (uint64, error) {
-	sc, err := p.conn(addr)
+	sc, err := p.connByID(addr.Server())
 	if err != nil {
 		return 0, err
 	}
@@ -845,24 +853,21 @@ func (p *Pool) LockShared(addr region.GAddr) error { return p.lockOp(OpLockSh, a
 func (p *Pool) UnlockShared(addr region.GAddr) error { return p.addrOp(OpUnlockSh, addr) }
 
 func (p *Pool) lockOp(op Op, addr region.GAddr) error {
-	sc, err := p.conn(addr)
+	sc, err := p.connByID(addr.Server())
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
-	lease := p.lease
-	p.mu.Unlock()
 	sp := p.traceStart(sc, op)
 	var w payloadWriter
 	f := p.opFrame(sp, &w, 12)
-	w.U64(uint64(addr)).U32(uint32(lease / time.Millisecond))
+	w.U64(uint64(addr)).U32(uint32(time.Duration(p.lease.Load()) / time.Millisecond))
 	err = sc.call(f, &w, op, sp)
 	sp.Finish()
 	return err
 }
 
 func (p *Pool) addrOp(op Op, addr region.GAddr) error {
-	sc, err := p.conn(addr)
+	sc, err := p.connByID(addr.Server())
 	if err != nil {
 		return err
 	}

@@ -458,9 +458,8 @@ func (sess *session) observe(addr region.GAddr, write bool) {
 	sess.stagedMu.Unlock()
 }
 
-// serveConn runs one connection: a buffered read loop feeding a
-// dedicated writer goroutine (the frame queue) that flushes many
-// response frames per writev.
+// serveConn runs one connection: a buffered read loop whose goroutine
+// also writes the replies it produces (the frame queue has none).
 //
 // Dispatch rule: ops that cannot park — read, write with ring credit,
 // digest, version, stats, malloc, unlock with nothing staged, hello —
@@ -469,6 +468,11 @@ func (sess *session) observe(addr region.GAddr, write bool) {
 // frees and exclusive unlocks draining staged writes, writes facing
 // staging-ring backpressure) get a goroutine so a parked request never
 // stalls the connection's other traffic.
+//
+// Batching rule: the reader corks the queue while a whole further
+// request is already buffered and uncorks after dispatching the last
+// buffered one, so a pipelined chain's replies leave in one writev. A
+// partial frame never corks: no reply waits on bytes not yet sent.
 //
 // A response-write failure poisons the frame queue, which severs the
 // connection; the read loop then unwinds and tears down the session —
@@ -483,7 +487,7 @@ func (s *PoolServer) serveConn(conn net.Conn) {
 	var reqWG sync.WaitGroup
 	defer func() {
 		reqWG.Wait() // parked handlers may still enqueue responses
-		q.close()    // flush them, then stop the writer goroutine
+		q.close()    // write whatever a cork or a dead reader left queued
 		sess.close()
 		_ = conn.Close()
 		s.mu.Lock()
@@ -491,10 +495,15 @@ func (s *PoolServer) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
+	corked := false
 	for {
 		id, tag, frame, payload, ext, err := r.read()
 		if err != nil {
 			return // connection gone (or a poisoned frame)
+		}
+		more := r.frameBuffered()
+		if more && !corked {
+			q.cork(true)
 		}
 		op := Op(tag)
 		// Span policy: a request carrying a sampled trace extension is
@@ -512,9 +521,13 @@ func (s *PoolServer) serveConn(conn net.Conn) {
 				defer reqWG.Done()
 				s.dispatch(sess, q, id, op, frame, payload, sp)
 			}()
-			continue
+		} else {
+			s.dispatch(sess, q, id, op, frame, payload, sp)
 		}
-		s.dispatch(sess, q, id, op, frame, payload, sp)
+		if corked && !more {
+			q.cork(false)
+		}
+		corked = more
 	}
 }
 
@@ -573,7 +586,7 @@ func recordCount(req *payloadReader, recordBytes int) (int, error) {
 // dispatch handles one request and enqueues its response frame. It owns
 // frame (the pooled request buffer) and recycles it after handling. It
 // also owns sp until the response is enqueued, at which point span
-// ownership transfers to the frame queue's drain loop — the one place
+// ownership transfers to the frame queue's flusher — the one place
 // that can stamp the writevFlush stage and finish the span.
 //
 //gengar:hotpath
@@ -591,7 +604,7 @@ func (s *PoolServer) dispatch(sess *session, q *frameQueue, id uint64, op Op, fr
 			q.fail(eerr)
 			return
 		}
-		_ = q.enqueueTraced(ef, sp)
+		_ = q.enqueue(ef, sp)
 		return
 	}
 	if resp == nil {
@@ -603,7 +616,7 @@ func (s *PoolServer) dispatch(sess *session, q *frameQueue, id uint64, op Op, fr
 		q.fail(err)
 		return
 	}
-	_ = q.enqueueTraced(resp, sp)
+	_ = q.enqueue(resp, sp)
 }
 
 // finishResp publishes a payload encoded in place over a pooled frame
@@ -620,16 +633,20 @@ func finishResp(f *[]byte, w *payloadWriter) *[]byte {
 // with the header reserved and the payload encoded in place, or nil for
 // an empty-payload success. Errors travel back as error frames. A
 // non-nil sp collects engine-level stage marks.
-func (s *PoolServer) handle(sess *session, op Op, req *payloadReader, sp *span.Span) (resp *[]byte, err error) {
+func (s *PoolServer) handle(sess *session, op Op, req *payloadReader, sp *span.Span) (*[]byte, error) {
 	if int(op) <= 0 || int(op) >= maxOpTag {
 		return nil, fmt.Errorf("tcpnet: unknown op %d", op)
 	}
 	s.ops.Inc()
 	s.opRequests[op].Inc()
 	start := time.Now()
-	defer func() {
-		s.opLatency[op].Record(time.Since(start))
-	}()
+	resp, err := s.serve(sess, op, req, sp)
+	s.opLatency[op].Record(time.Since(start))
+	return resp, err
+}
+
+// serve is handle's body: one known op, decoded, run and encoded.
+func (s *PoolServer) serve(sess *session, op Op, req *payloadReader, sp *span.Span) (*[]byte, error) {
 	switch op {
 	case OpHello:
 		feat := uint8(featureTrace) // this daemon parses the trace extension

@@ -320,7 +320,7 @@ func stampFrame(f *[]byte, id uint64, tag uint8) error {
 // encodeFrameInto publishes w's accumulated frame image (header
 // reserved by newFrame, payload appended in place) back into f and
 // stamps the header. After it returns, *f is the exact byte sequence
-// the writer goroutine hands to the kernel.
+// the frame queue hands to the kernel.
 //
 //gengar:hotpath
 func encodeFrameInto(f *[]byte, w *payloadWriter, id uint64, tag uint8) error {
@@ -346,8 +346,8 @@ func (p *framePool) encodeFrame(id uint64, tag uint8, payload []byte) (*[]byte, 
 // Frame reading.
 
 // connReadBuf sizes the per-connection buffered reader: one kernel read
-// drains many queued frames, the receive-side mirror of the writer
-// goroutine's writev coalescing.
+// drains many queued frames, the receive-side mirror of the frame
+// queue's writev coalescing.
 const connReadBuf = 64 << 10
 
 // frameReader reads frames from a buffered connection into pooled
@@ -404,19 +404,44 @@ func (r *frameReader) read() (id uint64, tag uint8, frame *[]byte, payload []byt
 	return id, tag, frame, payload, ext, nil
 }
 
+// frameBuffered reports whether a whole further frame already sits in
+// the read buffer, so the next read cannot wait on the peer. A partial
+// frame does not count: the sender may not have sent the rest yet.
+//
+//gengar:hotpath
+func (r *frameReader) frameBuffered() bool {
+	have := r.br.Buffered()
+	hdr, _ := r.br.Peek(min(4, have)) // never more than is buffered: no read
+	return len(hdr) == 4 && uint64(binary.BigEndian.Uint32(hdr))+4 <= uint64(have)
+}
+
 // ---------------------------------------------------------------------
 // Frame queue: the send half of a connection.
 
-// frameQueue serializes frame writes onto one connection through a
-// dedicated writer goroutine that drains every queued frame per wakeup
-// and hands the batch to the kernel as one writev (net.Buffers) — many
-// responses or pipelined requests per syscall, replacing the
-// lock-and-write-per-frame scheme. Enqueued frames transfer ownership;
-// the drain loop recycles them after the flush. A frame enqueued with
-// a span additionally transfers span ownership: the drain loop marks
-// the span's writevFlush stage once the syscall returns and finishes
-// it — the single-owner hand-off that lets a traced response attribute
-// its queue wait plus syscall share without any span locking.
+// frameQueue serializes frame writes onto one connection with a
+// combining flush and no goroutine of its own: enqueue appends under mu
+// and, if nobody is flushing and the queue is not corked, the enqueuing
+// goroutine becomes the flusher — it swaps the queue out, drops mu,
+// hands the batch to the kernel as one Write (one frame) or one writev
+// (several), recycles the frames and repeats until the queue is empty.
+// Whoever enqueues meanwhile only appends, so concurrent callers and
+// parked handlers coalesce into the flusher's next writev. A sender that
+// knows more frames follow corks the queue (the daemon's reader while a
+// whole further request is buffered, the client around a ReadMulti
+// chain) and flushes them together when it uncorks.
+//
+// mu is never held across the write. A flusher keeps draining what other
+// goroutines appended while it was in the syscall — at most one frame
+// per closed-loop caller on the connection per round. And the write is
+// the sender's own: a daemon reader blocked in Write to a client that
+// stopped reading stops consuming that client's requests — backpressure,
+// where a writer goroutine's queue would grow without bound.
+//
+// Enqueued frames transfer ownership; the flusher recycles them after
+// the write. A span riding a frame is the flusher's too: it marks the
+// writevFlush stage once the syscall returns and finishes the span — a
+// single-owner hand-off, so a traced response attributes its queue wait
+// plus syscall share without any span locking.
 type frameQueue struct {
 	conn net.Conn
 	pool *framePool
@@ -425,15 +450,16 @@ type frameQueue struct {
 	framesPerFlush  *metrics.Histogram // frames drained per writev
 	bytesPerSyscall *metrics.Histogram // bytes handed to the kernel per writev
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []queuedFrame // frames awaiting flush
-	spare  []queuedFrame // drained slice, recycled to become the next queue
-	err    error         // first write failure; sticky
-	closed bool
-	done   chan struct{}
+	mu       sync.Mutex
+	queue    []queuedFrame // frames awaiting flush
+	spare    []queuedFrame // drained slice, recycled to become the next queue
+	flushing bool          // a goroutine is in flush, mu dropped around its write
+	corked   int           // senders that owe a cork(false)
+	err      error         // first write failure; sticky
+	closed   bool
+	idle     sync.Cond // close waits here for the flusher to retire
 
-	vecs net.Buffers // writev scratch, reused across flushes
+	vecs net.Buffers // the flusher's writev scratch, reused across flushes
 	// sendv is the header WriteTo consumes. (*net.Buffers).WriteTo has a
 	// pointer receiver, so a local copy of vecs would escape and cost one
 	// heap allocation per writev; a field is already on the heap.
@@ -448,27 +474,18 @@ type queuedFrame struct {
 }
 
 func newFrameQueue(conn net.Conn, pool *framePool) *frameQueue {
-	q := &frameQueue{conn: conn, pool: pool, done: make(chan struct{})}
-	q.cond = sync.NewCond(&q.mu)
-	go q.run()
+	q := &frameQueue{conn: conn, pool: pool}
+	q.idle.L = &q.mu
 	return q
 }
 
-// enqueue hands one stamped frame to the writer goroutine. Ownership
-// transfers: the frame is recycled after the flush (or immediately if
-// the queue is dead).
+// enqueue queues one stamped frame and, unless the queue is corked or
+// another goroutine is flushing, writes it before returning. The frame
+// is recycled and sp (nil when untraced) finished after the write — or
+// here, without a writevFlush mark, if the queue is already dead.
 //
 //gengar:hotpath
-func (q *frameQueue) enqueue(f *[]byte) error {
-	return q.enqueueTraced(f, nil)
-}
-
-// enqueueTraced is enqueue carrying a span. The span is finished by the
-// drain loop after the flush — or here, without a writevFlush mark, if
-// the queue is already dead.
-//
-//gengar:hotpath
-func (q *frameQueue) enqueueTraced(f *[]byte, sp *span.Span) error {
+func (q *frameQueue) enqueue(f *[]byte, sp *span.Span) error {
 	q.mu.Lock()
 	if q.err != nil || q.closed {
 		err := q.err
@@ -481,34 +498,41 @@ func (q *frameQueue) enqueueTraced(f *[]byte, sp *span.Span) error {
 		return err
 	}
 	q.queue = append(q.queue, queuedFrame{f: f, sp: sp})
+	q.flush()
 	q.mu.Unlock()
-	q.cond.Signal()
 	return nil
 }
 
-// run is the writer goroutine: grab everything queued, flush it in one
-// writev, recycle the frames, repeat. A write failure poisons the queue
-// and closes the connection so the read side tears the session down —
-// a response that cannot be delivered must kill the connection, not
-// leave the read loop consuming requests whose replies go nowhere.
+// cork(true) holds frames back until the matching cork(false) flushes
+// them in one writev; nothing in between may wait on the peer.
+func (q *frameQueue) cork(on bool) {
+	q.mu.Lock()
+	if on {
+		q.corked++
+	} else {
+		q.corked--
+		q.flush()
+	}
+	q.mu.Unlock()
+}
+
+// flush makes the caller the flusher unless there already is one; mu is
+// held on entry and on return, dropped around each write. A write failure
+// poisons the queue and closes the connection so the read side tears the
+// session down — a response that cannot be delivered must kill the
+// connection, not leave the read loop consuming requests to no effect.
 //
 //gengar:hotpath
-func (q *frameQueue) run() {
-	defer close(q.done)
-	for {
-		q.mu.Lock()
-		for len(q.queue) == 0 && !q.closed {
-			q.cond.Wait()
-		}
-		if len(q.queue) == 0 {
-			q.mu.Unlock()
-			return // closed and drained
-		}
+func (q *frameQueue) flush() {
+	if q.flushing {
+		return
+	}
+	q.flushing = true
+	for len(q.queue) > 0 && (q.corked == 0 || q.closed) {
 		batch := q.queue
 		q.queue = q.spare[:0]
 		failed := q.err != nil
 		q.mu.Unlock()
-
 		if !failed {
 			total := 0
 			q.vecs = q.vecs[:0]
@@ -522,8 +546,14 @@ func (q *frameQueue) run() {
 			if q.bytesPerSyscall != nil {
 				q.bytesPerSyscall.Observe(int64(total))
 			}
-			q.sendv = q.vecs // WriteTo consumes the header; keep q.vecs anchored
-			if _, err := q.sendv.WriteTo(q.conn); err != nil {
+			var err error
+			if len(batch) == 1 { // a lone frame needs no writev
+				_, err = q.conn.Write(q.vecs[0])
+			} else {
+				q.sendv = q.vecs // WriteTo consumes the header; keep q.vecs anchored
+				_, err = q.sendv.WriteTo(q.conn)
+			}
+			if err != nil {
 				q.fail(err)
 			}
 		}
@@ -537,7 +567,10 @@ func (q *frameQueue) run() {
 		}
 		q.mu.Lock()
 		q.spare = batch[:0]
-		q.mu.Unlock()
+	}
+	q.flushing = false
+	if q.closed {
+		q.idle.Broadcast()
 	}
 }
 
@@ -552,14 +585,16 @@ func (q *frameQueue) fail(err error) {
 	_ = q.conn.Close()
 }
 
-// close stops the writer goroutine after it drains everything already
-// queued, and waits for it to exit. Safe to call more than once.
+// close refuses further frames, waits out a flusher in progress and
+// writes what is still queued, corked or not. Safe to call twice.
 func (q *frameQueue) close() {
 	q.mu.Lock()
 	q.closed = true
+	for q.flushing {
+		q.idle.Wait()
+	}
+	q.flush()
 	q.mu.Unlock()
-	q.cond.Broadcast()
-	<-q.done
 }
 
 // ---------------------------------------------------------------------

@@ -16,13 +16,16 @@ import (
 	"time"
 )
 
-// Caps are measured steady-state counts plus headroom for runtime
-// noise. The point is catching a regression back to per-request buffer
-// allocation (the old wire path charged ~23 allocs per round trip), not
-// pinning the runtime's exact accounting.
+// Caps. The read cap is headroom over a measured 0: the point is
+// catching a regression back to per-request buffer allocation (the old
+// wire path charged ~23 allocs per round trip), not pinning the
+// runtime's exact accounting. The write cap is the measured count: a
+// staged record rides pooled frames, a pooled pending buffer and a typed
+// worker channel, so one allocation per write is a regression (a record
+// boxed on its way to the flush worker was exactly that).
 const (
 	maxReadAllocs  = 10
-	maxWriteAllocs = 10
+	maxWriteAllocs = 0
 )
 
 func allocPool(t *testing.T) *Pool {
@@ -82,8 +85,24 @@ func dialTracedPool(t *testing.T, sample int) *Pool {
 	return p
 }
 
-// measureOpAllocs reports steady-state allocs/op for a read, a write, a
-// 4-record ReadMulti and a 4-record WriteMulti against p.
+// minAllocs is the smallest of five AllocsPerRun(200, f) samples. The
+// daemon's flush workers allocate on their own schedule and a GC empties
+// the sync.Pools behind frames and pending buffers, so one sample can
+// read one high; an allocation f itself makes is in every sample and
+// still moves the minimum by one (core's scratch_alloc_test.go does the
+// same for the sim mount).
+func minAllocs(f func()) float64 {
+	best := testing.AllocsPerRun(200, f)
+	for i := 1; i < 5; i++ {
+		if a := testing.AllocsPerRun(200, f); a < best {
+			best = a
+		}
+	}
+	return best
+}
+
+// measureOpAllocs reports steady-state allocs/op (minAllocs) for a read,
+// a write, a 4-record ReadMulti and a 4-record WriteMulti against p.
 func measureOpAllocs(t *testing.T, p *Pool) (read, write, readMulti, writeMulti float64) {
 	t.Helper()
 	a, err := p.Malloc(4 * 256)
@@ -112,22 +131,22 @@ func measureOpAllocs(t *testing.T, p *Pool) (read, write, readMulti, writeMulti 
 			t.Fatal(err)
 		}
 	}
-	read = testing.AllocsPerRun(200, func() {
+	read = minAllocs(func() {
 		if err := p.Read(a, buf); err != nil {
 			t.Fatal(err)
 		}
 	})
-	write = testing.AllocsPerRun(200, func() {
+	write = minAllocs(func() {
 		if err := p.Write(a, data); err != nil {
 			t.Fatal(err)
 		}
 	})
-	readMulti = testing.AllocsPerRun(200, func() {
+	readMulti = minAllocs(func() {
 		if err := p.ReadMulti(rreqs); err != nil {
 			t.Fatal(err)
 		}
 	})
-	writeMulti = testing.AllocsPerRun(200, func() {
+	writeMulti = minAllocs(func() {
 		if err := p.WriteMulti(wreqs); err != nil {
 			t.Fatal(err)
 		}
@@ -180,28 +199,36 @@ func TestWriteRoundTripAllocs(t *testing.T) {
 	}
 }
 
-// TestEnqueueFlushAllocs gates one enqueue→flush cycle at zero
-// allocations: the frame comes from the pool, the queue slices are
-// recycled, and the writev header lives in the queue (a local header
+// TestEnqueueFlushAllocs gates the send path at zero allocations, both
+// shapes of it: a lone frame written by its enqueuer, and a corked pair
+// leaving in one writev. The frames come from the pool, the queue slices
+// are recycled, and the writev header lives in the queue (a local header
 // escapes through (*net.Buffers).WriteTo and costs one per syscall).
 func TestEnqueueFlushAllocs(t *testing.T) {
 	q, pool, peer := loopbackQueue(t)
 	payload := bytes.Repeat([]byte{0xa7}, 200)
-	got := make([]byte, frameHeader+len(payload))
-	cycle := func() {
+	got := make([]byte, 3*(frameHeader+len(payload)))
+	send := func() {
 		f, err := pool.encodeFrame(1, statusOK, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := q.enqueue(f); err != nil {
+		if err := q.enqueue(f, nil); err != nil {
 			t.Fatal(err)
 		}
-		// Waiting for the whole frame paces the loop at one writev per cycle.
+	}
+	cycle := func() {
+		send()
+		q.cork(true)
+		send()
+		send()
+		q.cork(false)
+		// Waiting for all three frames paces the loop at two syscalls per cycle.
 		if _, err := io.ReadFull(peer, got); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 64; i++ { // warm the frame pool and both queue slices
+	for i := 0; i < 64; i++ { // warm the frame pool, both queue slices and the writev scratch
 		cycle()
 	}
 	if avg := testing.AllocsPerRun(500, cycle); avg != 0 {
@@ -222,7 +249,7 @@ func TestFrameReadAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := q.enqueue(f); err != nil {
+		if err := q.enqueue(f, nil); err != nil {
 			t.Fatal(err)
 		}
 		_, _, frame, got, _, err := r.read()

@@ -18,14 +18,16 @@ type gatedConn struct {
 	net.Conn
 	mu       sync.Mutex
 	gate     chan struct{} // non-nil: writes block here first
+	atGate   chan struct{} // with gate: receives a token per write that reaches it
 	writeErr error         // non-nil: writes fail with this
 }
 
 func (c *gatedConn) Write(b []byte) (int, error) {
 	c.mu.Lock()
-	gate, werr := c.gate, c.writeErr
+	gate, atGate, werr := c.gate, c.atGate, c.writeErr
 	c.mu.Unlock()
 	if gate != nil {
+		atGate <- struct{}{}
 		<-gate
 	}
 	if werr != nil {
@@ -40,57 +42,352 @@ func (c *gatedConn) setWriteErr(err error) {
 	c.mu.Unlock()
 }
 
-// TestFlushCoalescing drives the frame queue through a stalled first
-// write and checks that frames enqueued during the stall leave as one
-// batch — the writev coalescing the wire path is built around.
-func TestFlushCoalescing(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c2.Close()
-	gate := make(chan struct{})
-	gc := &gatedConn{Conn: c1, gate: gate}
+// closeGate makes the next write block; the returned open lets it (and
+// every later write) through. atGate tells the test a write is held.
+func (c *gatedConn) closeGate() (atGate <-chan struct{}, open func()) {
+	gate, at := make(chan struct{}), make(chan struct{}, 1)
+	c.mu.Lock()
+	c.gate, c.atGate = gate, at
+	c.mu.Unlock()
+	return at, func() {
+		c.mu.Lock()
+		c.gate, c.atGate = nil, nil
+		c.mu.Unlock()
+		close(gate)
+	}
+}
 
-	var pool framePool
-	q := newFrameQueue(gc, &pool)
+// pipeQueue returns a frame queue writing to a gated in-process pipe,
+// its frame pool, and a channel delivering the id of every frame the
+// far end receives, in order (closed when the pipe is).
+func pipeQueue(t *testing.T) (*frameQueue, *framePool, *gatedConn, <-chan uint64) {
+	t.Helper()
+	c1, c2 := net.Pipe()
+	gc := &gatedConn{Conn: c1}
+	pool := new(framePool)
+	q := newFrameQueue(gc, pool)
 	q.framesPerFlush = new(metrics.Histogram)
 	q.bytesPerSyscall = new(metrics.Histogram)
-
-	// Drain everything the queue writes so the pipe never backs up once
-	// the gate opens.
-	drained := make(chan int)
+	ids := make(chan uint64, 64) // more than any test here sends
 	go func() {
-		n, _ := io.Copy(io.Discard, c2)
-		drained <- int(n)
+		defer close(ids)
+		r := newFrameReader(c2, pool)
+		for {
+			id, _, frame, _, _, err := r.read()
+			if err != nil {
+				return
+			}
+			pool.put(frame)
+			ids <- id
+		}
 	}()
+	t.Cleanup(func() {
+		_ = gc.Close()
+		_ = c2.Close()
+	})
+	return q, pool, gc, ids
+}
 
-	// First frame occupies the writer goroutine at the gate; the next
-	// three pile up in the queue and must flush together.
-	var total int
-	for i := 0; i < 4; i++ {
-		f, err := pool.encodeFrame(uint64(i+1), statusOK, []byte("response"))
+func testFrame(t *testing.T, pool *framePool, id uint64) *[]byte {
+	t.Helper()
+	f, err := pool.encodeFrame(id, statusOK, []byte("response"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestFlushCoalescing pins the combining flush. A lone enqueue on an
+// idle queue is on the wire before enqueue returns. While a flusher is
+// held inside Write, other goroutines' enqueues only append — they
+// return at once, the flusher does not hold the queue lock against them
+// (a parked handler and a flushing reader never block each other) — and
+// everything they queued leaves in the flusher's one following writev.
+func TestFlushCoalescing(t *testing.T) {
+	q, pool, gc, ids := pipeQueue(t)
+
+	if err := q.enqueue(testFrame(t, pool, 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := q.framesPerFlush.Count(); n != 1 {
+		t.Fatalf("%d writes by the time a lone enqueue returned, want 1", n)
+	}
+	if id := <-ids; id != 1 {
+		t.Fatalf("far end got frame %d first, want 1", id)
+	}
+
+	atGate, open := gc.closeGate()
+	flusher := make(chan error, 1)
+	held := testFrame(t, pool, 2)
+	go func() { flusher <- q.enqueue(held, nil) }()
+	<-atGate // frame 2's enqueuer is the flusher, held in Write
+	for id := uint64(3); id <= 5; id++ {
+		if err := q.enqueue(testFrame(t, pool, id), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := q.framesPerFlush.Count(); n != 2 {
+		t.Fatalf("%d writes while the flusher is held, want 2: an enqueue behind a flusher must only append", n)
+	}
+	open()
+	if err := <-flusher; err != nil {
+		t.Fatal(err)
+	}
+	for want := uint64(2); want <= 5; want++ {
+		if id := <-ids; id != want {
+			t.Fatalf("far end got frame %d, want %d", id, want)
+		}
+	}
+	if n, most := q.framesPerFlush.Count(), int64(q.framesPerFlush.Max()); n != 3 || most != 3 {
+		t.Fatalf("%d writes, largest %d frames; want 3 writes, the last carrying the 3 frames queued behind the flusher", n, most)
+	}
+	if q.bytesPerSyscall.Count() != 3 {
+		t.Fatal("bytes-per-syscall histogram out of step with the flushes")
+	}
+}
+
+// TestFrameQueueCloseWaitsForFlusher: close during a flush returns only
+// once the flusher has retired, and an enqueue after it is refused with
+// ErrClosed and its frame recycled.
+func TestFrameQueueCloseWaitsForFlusher(t *testing.T) {
+	q, pool, gc, ids := pipeQueue(t)
+	atGate, open := gc.closeGate()
+	flusher := make(chan error, 1)
+	held := testFrame(t, pool, 1)
+	go func() { flusher <- q.enqueue(held, nil) }()
+	<-atGate
+	if err := q.enqueue(testFrame(t, pool, 2), nil); err != nil { // queued behind the flusher
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		q.close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("close returned while a flusher was still inside Write")
+	case <-time.After(20 * time.Millisecond):
+	}
+	open()
+	<-closed
+	if err := <-flusher; err != nil {
+		t.Fatal(err)
+	}
+	if a, b := <-ids, <-ids; a != 1 || b != 2 {
+		t.Fatalf("far end got frames %d, %d; want 1, 2 (close must not drop what was queued)", a, b)
+	}
+	// sync.Pool drops a quarter of puts under the race detector, so look
+	// for one recycled frame among several refused ones.
+	before := pool.hits.Load()
+	for i := 0; i < 50 && pool.hits.Load() == before; i++ {
+		if err := q.enqueue(testFrame(t, pool, 3), nil); !errors.Is(err, ErrClosed) {
+			t.Fatalf("enqueue after close: %v, want ErrClosed", err)
+		}
+	}
+	if pool.hits.Load() == before {
+		t.Fatal("frames refused by a closed queue were not recycled")
+	}
+	q.close() // idempotent
+}
+
+// TestFrameQueueWriteErrorFailsWaiters: the caller that hits a write
+// error on the inline path severs the connection, which fails its own
+// waiter and every other request in flight on it.
+func TestFrameQueueWriteErrorFailsWaiters(t *testing.T) {
+	c1, c2 := net.Pipe()
+	defer c2.Close()
+	go func() { _, _ = io.Copy(io.Discard, c2) }() // a peer that never answers
+	gc := &gatedConn{Conn: c1}
+	pool := new(framePool)
+	sc := &serverConn{
+		c: gc, q: newFrameQueue(gc, pool), frames: pool,
+		pending: make(map[uint64]chan response), done: make(chan struct{}),
+	}
+	go sc.demux()
+	defer sc.close()
+
+	send := func() (chan response, error) {
+		var w payloadWriter
+		f := pool.newFrame(&w, 8)
+		w.U64(1)
+		return sc.start(f, &w, OpVersion, nil)
+	}
+	first, err := send() // written; its reply never comes
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc.setWriteErr(errors.New("injected write failure"))
+	second, err := send()
+	if err != nil {
+		t.Fatalf("start: %v (a write error reaches the caller through its waiter)", err)
+	}
+	for i, ch := range []chan response{first, second} {
+		if _, err := sc.wait(ch, OpVersion, nil); err == nil {
+			t.Fatalf("waiter %d survived a severed connection", i+1)
+		}
+	}
+	if !sc.dead() {
+		t.Fatal("connection not marked dead after a write error")
+	}
+	if _, err := send(); err == nil {
+		t.Fatal("start on a dead connection succeeded")
+	}
+}
+
+// TestFrameQueueConcurrentEnqueue hammers one queue from several
+// goroutines over a real loopback: every frame arrives once, intact and
+// in its goroutine's order. The far end reads nothing until all but one
+// sender are done — which they can only be because an enqueue behind a
+// blocked flusher appends and returns — so the backlog they leave must
+// show up as multi-frame writevs.
+func TestFrameQueueConcurrentEnqueue(t *testing.T) {
+	const senders, perSender, size = 8, 192, 16 << 10 // 24 MiB: more than a socket buffers
+	q, pool, peer := loopbackQueue(t)
+	q.framesPerFlush = new(metrics.Histogram)
+
+	var wg sync.WaitGroup
+	finished := make(chan struct{}, senders)
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			payload := bytes.Repeat([]byte{byte(g + 1)}, size)
+			for i := 0; i < perSender; i++ {
+				f, err := pool.encodeFrame(uint64(g)<<32|uint64(i), statusOK, payload)
+				if err == nil {
+					err = q.enqueue(f, nil)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			finished <- struct{}{}
+		}(g)
+	}
+	for i := 0; i < senders-1; i++ {
+		<-finished
+	}
+	r := newFrameReader(peer, pool)
+	var next [senders]uint64
+	for n := 0; n < senders*perSender; n++ {
+		id, _, frame, payload, _, err := r.read()
 		if err != nil {
+			t.Fatalf("frame %d: %v", n, err)
+		}
+		g, i := int(id>>32), id&0xffffffff
+		if g >= senders || i != next[g] {
+			t.Fatalf("sender %d: got frame %d, want %d", g, i, next[g])
+		}
+		next[g]++
+		if len(payload) != size || bytes.Count(payload, []byte{byte(g + 1)}) != size {
+			t.Fatalf("sender %d frame %d arrived damaged", g, i)
+		}
+		pool.put(frame)
+	}
+	wg.Wait()
+	if most := int64(q.framesPerFlush.Max()); most < 2 {
+		t.Fatalf("largest writev carried %d frame(s): senders queued behind a blocked flusher did not coalesce", most)
+	}
+}
+
+// TestFrameQueueChainIsOneWrite counts write calls with the flush
+// histograms (one observation per Write or writev; a wrapping net.Conn
+// cannot see a writev): a ReadMulti of 8 leaves the client in one, its 8
+// replies leave the daemon in one, and a WriteMulti of 8 records to one
+// home is one frame in one write — while each lone op is its own.
+func TestFrameQueueChainIsOneWrite(t *testing.T) {
+	srv, addr := startTracedServer(t, nil)
+	p := dialPool(t, []string{addr})
+	const k = 8
+	base, err := p.Malloc(k * 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := p.connByID(base.Server())
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := new(metrics.Histogram)
+	sc.q.framesPerFlush = client
+	writes := make([]WriteReq, k)
+	reads := make([]ReadReq, k)
+	for i := range writes {
+		a := base.Add(int64(i * 256))
+		writes[i] = WriteReq{Addr: a, Data: bytes.Repeat([]byte{byte(i + 1)}, 256)}
+		reads[i] = ReadReq{Addr: a, Buf: make([]byte, 256)}
+	}
+
+	if err := p.WriteMulti(writes); err != nil {
+		t.Fatal(err)
+	}
+	if n, most := client.Count(), int64(client.Max()); n != 1 || most != 1 {
+		t.Fatalf("WriteMulti: %d client writes, largest %d frames; want one write of one frame", n, most)
+	}
+	replies := srv.framesPerFlush.Count()
+	if err := p.ReadMulti(reads); err != nil {
+		t.Fatal(err)
+	}
+	for i := range reads {
+		if !bytes.Equal(reads[i].Buf, writes[i].Data) {
+			t.Fatalf("record %d mismatch", i)
+		}
+	}
+	if n, most := client.Count(), int64(client.Max()); n != 2 || most != k {
+		t.Fatalf("ReadMulti: %d client writes in all, largest %d frames; want 2 and %d", n, most, k)
+	}
+	if n, most := srv.framesPerFlush.Count()-replies, int64(srv.framesPerFlush.Max()); n != 1 || most != k {
+		t.Fatalf("ReadMulti: its replies left the daemon in %d writes, largest %d frames; want 1 and %d", n, most, k)
+	}
+	replies = srv.framesPerFlush.Count()
+	if err := p.Read(base, reads[0].Buf); err != nil {
+		t.Fatal(err)
+	}
+	if c, s := client.Count(), srv.framesPerFlush.Count()-replies; c != 3 || s != 1 {
+		t.Fatalf("lone Read: %d client writes in all, %d daemon writes; want 3 and 1", c, s)
+	}
+}
+
+// TestFrameQueuePartialFrameNeverCorks: a request's reply must not wait
+// for a following request the client has only begun to send. Request A
+// arrives whole together with the first 10 bytes of request B; A's reply
+// comes back while B is still incomplete, then B is finished and
+// answered.
+func TestFrameQueuePartialFrameNeverCorks(t *testing.T) {
+	srv, err := NewPoolServer(ServerConfig{ID: 1, PoolBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c1, c2 := net.Pipe()
+	defer c2.Close()
+	go srv.serveConn(c1)
+	_ = c2.SetDeadline(time.Now().Add(5 * time.Second)) // fail, not hang
+
+	var pool framePool
+	malloc := func(id uint64) []byte {
+		var w payloadWriter
+		f := pool.newFrame(&w, 8)
+		w.I64(64)
+		if err := encodeFrameInto(f, &w, id, uint8(OpMalloc)); err != nil {
 			t.Fatal(err)
 		}
-		total += len(*f)
-		if err := q.enqueue(f); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			// Give the writer goroutine time to reach the gate so the
-			// remaining frames land in the same pending batch.
-			time.Sleep(10 * time.Millisecond)
-		}
+		return *f
 	}
-	close(gate)
-	q.close()
-	_ = gc.Close()
-	if got := <-drained; got != total {
-		t.Fatalf("receiver got %d bytes, want %d", got, total)
+	a, b := malloc(1), malloc(2)
+	if _, err := c2.Write(append(append([]byte(nil), a...), b[:10]...)); err != nil {
+		t.Fatal(err)
 	}
-	if int64(q.framesPerFlush.Max()) < 3 {
-		t.Fatalf("max frames per flush = %d, want >= 3 (no coalescing)", q.framesPerFlush.Max())
+	r := newFrameReader(c2, &pool)
+	if id, tag, _, _, _, err := r.read(); err != nil || id != 1 || tag != statusOK {
+		t.Fatalf("reply to A with B half sent: id=%d tag=%d err=%v", id, tag, err)
 	}
-	if q.framesPerFlush.Count() < 1 || q.bytesPerSyscall.Count() < 1 {
-		t.Fatal("flush histograms never observed")
+	if _, err := c2.Write(b[10:]); err != nil {
+		t.Fatal(err)
+	}
+	if id, tag, _, _, _, err := r.read(); err != nil || id != 2 || tag != statusOK {
+		t.Fatalf("reply to B once complete: id=%d tag=%d err=%v", id, tag, err)
 	}
 }
 
@@ -128,8 +425,8 @@ func loopbackQueue(t *testing.T) (*frameQueue, *framePool, net.Conn) {
 }
 
 // TestEnqueueFlushCycle is the race-mode twin of the allocation gate in
-// wire_alloc_test.go: single frames through enqueue, the writer
-// goroutine's writev, and the peer's read, one at a time.
+// wire_alloc_test.go: single frames through enqueue, its inline write,
+// and the peer's read, one at a time.
 func TestEnqueueFlushCycle(t *testing.T) {
 	q, pool, peer := loopbackQueue(t)
 	payload := bytes.Repeat([]byte{0xa7}, 200)
@@ -140,7 +437,7 @@ func TestEnqueueFlushCycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := q.enqueue(f); err != nil {
+		if err := q.enqueue(f, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := io.ReadFull(peer, got); err != nil {
@@ -153,7 +450,7 @@ func TestEnqueueFlushCycle(t *testing.T) {
 }
 
 // TestFrameReadCycle is the race-mode twin of TestFrameReadAllocs:
-// single frames through enqueue, the writev, and the frame reader on
+// single frames through enqueue, its write, and the frame reader on
 // the peer end, one at a time, id, tag and payload intact.
 func TestFrameReadCycle(t *testing.T) {
 	q, pool, peer := loopbackQueue(t)
@@ -165,7 +462,7 @@ func TestFrameReadCycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := q.enqueue(f); err != nil {
+		if err := q.enqueue(f, nil); err != nil {
 			t.Fatal(err)
 		}
 		id, tag, frame, got, _, err := r.read()
@@ -230,7 +527,7 @@ func TestOversizedReadKeepsConnAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := p.conn(a)
+	sc, err := p.connByID(a.Server())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +560,7 @@ func TestOversizedBatchCountKeepsConnAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := p.conn(a)
+	sc, err := p.connByID(a.Server())
 	if err != nil {
 		t.Fatal(err)
 	}
