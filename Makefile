@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race race-short bench bench-full bench-wire bench-scale bench-cluster bench-interference bench-repo fuzz-wire e2e e2e-cluster trace-e2e quick tidy clean
+.PHONY: all build vet lint test race race-short bench bench-full bench-wire bench-scale bench-cluster bench-repo fuzz-wire e2e e2e-cluster trace-e2e quick tidy clean
 
 all: vet lint build test
 
@@ -61,13 +61,6 @@ bench-scale:
 # (1..4 daemons) writes results/e20.csv via GENGAR_E20_CSV.
 bench-cluster:
 	$(GO) test ./internal/tcpnet -run=^$$ -bench=BenchmarkTCPDistributedCache -short -benchtime=500x
-
-# Interference-aware flushing smoke (experiment E21): an aggressor
-# staging overwrite-heavy bursts against a latency-sensitive reader,
-# greedy vs adaptive pacing. The recorded run writes results/e21.csv
-# plus the telemetry snapshot via `gengar-bench -exp E21 -outdir results`.
-bench-interference:
-	$(GO) run ./cmd/gengar-bench -exp E21 -quick
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md) at smoke
 # scale: every workload with 2 s windows, every metric printed, every

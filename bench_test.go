@@ -92,7 +92,3 @@ func BenchmarkE16WriteBatching(b *testing.B) { runExperiment(b, "E16") }
 // attribution across the four serving paths (E17 is the tcpnet wire
 // benchmark suite, not a harness experiment).
 func BenchmarkE18LatencyAnatomy(b *testing.B) { runExperiment(b, "E18") }
-
-// BenchmarkE21Interference regenerates E21: aggressor write bursts vs a
-// latency-sensitive reader, greedy vs adaptive flush pacing.
-func BenchmarkE21Interference(b *testing.B) { runExperiment(b, "E21") }

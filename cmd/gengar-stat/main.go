@@ -234,14 +234,13 @@ func renderShards(w io.Writer, snap telemetry.Snapshot) {
 	fmt.Fprintf(w, "seqlock: %d hits, %d retries, %d locked fallbacks\n", hits, retries, fallbacks)
 }
 
-// renderFlush prints the adaptive-flushing pane: what the proxy flush
-// path persisted and how much the coalescer merged (merge ratio =
-// flushed records per NVM device write), the pacer's current backoff
-// level and the effective NVM write bandwidth its meter sees, and the
-// staged-to-applied flush-lag quantiles the -flush-max-lag bound
-// governs. Shown only when the daemon runs with -proxy.
+// renderFlush prints the flush pane: what the proxy flush path
+// persisted and how much the coalescer merged (merge ratio = flushed
+// records per NVM device write), and the staged-to-applied flush-lag
+// quantiles. Shown whenever the snapshot carries the proxy counters; a
+// daemon started with -no-proxy still exports them, all reading 0.
 func renderFlush(w io.Writer, snap telemetry.Snapshot) {
-	var staged, flushed, bytes, writes, coalesced, gateWaits int64
+	var staged, flushed, bytes, writes, coalesced int64
 	seen := false
 	for _, c := range snap.Counters {
 		switch c.Name {
@@ -257,41 +256,24 @@ func renderFlush(w io.Writer, snap telemetry.Snapshot) {
 			writes += c.Value
 		case "gengar_proxy_coalesced_records_total":
 			coalesced += c.Value
-		case "gengar_proxy_flush_gate_waits_total":
-			gateWaits += c.Value
 		}
 	}
 	if !seen {
 		return
 	}
-	var inflight, level, bw int64
+	var inflight int64
 	for _, g := range snap.Gauges {
-		switch g.Name {
-		case "gengar_proxy_inflight":
+		if g.Name == "gengar_proxy_inflight" {
 			inflight += g.Value
-		case "gengar_proxy_flush_backoff_level":
-			if g.Value > level {
-				level = g.Value
-			}
-		case "gengar_proxy_flush_bw_bytes_per_sec":
-			if g.Value > bw {
-				bw = g.Value
-			}
 		}
 	}
 	merge := "-"
 	if writes > 0 {
 		merge = fmt.Sprintf("%.2fx", float64(flushed)/float64(writes))
 	}
-	bwStr := "-"
-	if bw > 0 {
-		bwStr = humanBytes(bw) + "/s"
-	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "flush: %d staged, %d flushed (%d inflight), %d nvm writes, merge %s (%d records coalesced), %s persisted\n",
 		staged, flushed, inflight, writes, merge, coalesced, humanBytes(bytes))
-	fmt.Fprintf(w, "pacer: backoff level %d, effective nvm write bw %s, %d gate waits\n",
-		level, bwStr, gateWaits)
 	for _, h := range snap.Histograms {
 		if h.Name != "gengar_proxy_flush_lag_seconds" || h.Count == 0 {
 			continue

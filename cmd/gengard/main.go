@@ -52,8 +52,6 @@ func run() error {
 		noCache     = flag.Bool("no-cache", false, "disable hotness tracking and DRAM cache promotion")
 		peers       = flag.String("peers", "", "comma-separated addresses of peer gengard daemons; joins the distributed DRAM cache (spill hot copies into peers' arenas under pressure)")
 		noProxy     = flag.Bool("no-proxy", false, "disable staged writes (writes go straight to the pool)")
-		flushAdapt  = flag.Bool("flush-adaptive", true, "interference-aware flushing: flushers coalesce and back off while foreground read latency climbs")
-		flushMaxLag = flag.Duration("flush-max-lag", 50*time.Millisecond, "bound on flush lag under adaptive backoff (0 selects the proxy default)")
 		lease       = flag.Duration("lease", 5*time.Second, "default lock lease")
 		lockWait    = flag.Duration("lock-wait", 2*time.Second, "lock acquire timeout")
 		dataFile    = flag.String("data", "", "snapshot file: restored on start if present, written on shutdown")
@@ -82,8 +80,6 @@ func run() error {
 		KeepAlive:      *keepAlive,
 		TraceSample:    *traceSample,
 		TraceSlow:      *traceSlow,
-		FlushAdaptive:  *flushAdapt,
-		FlushMaxLag:    *flushMaxLag,
 	})
 	if err != nil {
 		return err

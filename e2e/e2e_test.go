@@ -132,6 +132,14 @@ func TestGengardEndToEnd(t *testing.T) {
 			t.Fatalf("gengard -digest-every %s: err=%v\n%s", bad, err, out)
 		}
 	}
+	// The flush pacer's flags are gone, not ignored: a deployment script
+	// that still passes one fails at start instead of running unpaced.
+	for _, gone := range [][]string{{"-flush-adaptive"}, {"-flush-max-lag", "1ms"}} {
+		out, err := exec.Command(gengard, append([]string{"-listen", addr}, gone...)...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "flag provided but not defined") {
+			t.Fatalf("gengard %v: err=%v\n%s", gone, err, out)
+		}
+	}
 	d := startDaemon(t, gengard, addr, "-data", snap, "-digest-every", "4")
 
 	// malloc/write/read through the CLI.

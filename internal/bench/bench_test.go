@@ -61,8 +61,8 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestExperimentRegistryComplete(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 18 {
-		t.Fatalf("%d experiments registered, want 18", len(exps))
+	if len(exps) != 17 {
+		t.Fatalf("%d experiments registered, want 17", len(exps))
 	}
 	seen := make(map[string]bool)
 	for _, e := range exps {

@@ -66,7 +66,6 @@ func Experiments() []struct {
 		// E17 is the TCP wire-throughput suite (internal/tcpnet Go
 		// benchmarks); it lives outside this registry.
 		{"E18", E18LatencyAnatomy},
-		{"E21", E21Interference},
 	}
 }
 

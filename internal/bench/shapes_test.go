@@ -345,44 +345,3 @@ func TestShapeE18LatencyAnatomy(t *testing.T) {
 		t.Fatal("E18 table missing telemetry snapshot")
 	}
 }
-
-func TestShapeE21AdaptiveFlushingProtectsReads(t *testing.T) {
-	tb := mustRun(t, "E21")
-	const (
-		quiet, greedy, adaptive           = 0, 1, 2
-		readerP99, lagMax, flushed, wrcol = 3, 7, 9, 10
-	)
-	// The aggressor's bursts must actually interfere: greedy inflates the
-	// reader's p99 well past the unloaded run.
-	q, g, a := cell(t, tb, quiet, readerP99), cell(t, tb, greedy, readerP99), cell(t, tb, adaptive, readerP99)
-	if g < 2*q {
-		t.Errorf("greedy reader p99 %.2fus < 2x quiet %.2fus — aggressor invisible", g, q)
-	}
-	// The acceptance shape: adaptive pacing recovers >=2x of that tail...
-	if a*2 > g {
-		t.Errorf("adaptive reader p99 %.2fus not >=2x better than greedy %.2fus", a, g)
-	}
-	// ...at equal eventual flush throughput (both systems drain every
-	// staged record before reporting).
-	gf, af := cell(t, tb, greedy, flushed), cell(t, tb, adaptive, flushed)
-	if gf != af || gf == 0 {
-		t.Errorf("flushed counts differ (greedy %.0f, adaptive %.0f) — systems not comparable", gf, af)
-	}
-	// The bounded cost: adaptive flush lag rides -flush-max-lag (plus one
-	// gated batch), never runs away.
-	maxLagUS := float64(e21MaxLag.Microseconds())
-	if lag := cell(t, tb, adaptive, lagMax); lag > 2*maxLagUS {
-		t.Errorf("adaptive flush lag max %.0fus exceeds 2x the %0.fus bound", lag, maxLagUS)
-	}
-	// Overwrite-heavy bursts make the coalescer visible: merge ratio > 1
-	// on both loaded systems.
-	for _, r := range []int{greedy, adaptive} {
-		fl, wr := cell(t, tb, r, flushed), cell(t, tb, r, wrcol)
-		if wr <= 0 || fl/wr <= 1 {
-			t.Errorf("row %d merge ratio %.2f (flushed %.0f / writes %.0f) not > 1", r, fl/wr, fl, wr)
-		}
-	}
-	if tb.Telemetry == nil {
-		t.Fatal("E21 table missing telemetry snapshot")
-	}
-}

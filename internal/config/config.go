@@ -45,15 +45,6 @@ type Proxy struct {
 	// slot holds a 12 B header plus payload; larger writes take several.
 	RingSlots    int
 	RingSlotSize int
-	// PollCost is the server CPU charge per flushed record.
-	PollCost time.Duration
-	// FlushAdaptive enables interference-aware flushing: flush workers
-	// coalesce harder and back off when foreground NVM read latency
-	// climbs. Off by default so baselines measure greedy flushing.
-	FlushAdaptive bool
-	// FlushMaxLag bounds flush lag under adaptive backoff (the proxy's
-	// default when zero). Ignored unless FlushAdaptive is set.
-	FlushMaxLag time.Duration
 }
 
 // Cluster is the full deployment description.
@@ -118,7 +109,6 @@ func Default() Cluster {
 		Proxy: Proxy{
 			RingSlots:    128,
 			RingSlotSize: 4096 + 12,
-			PollCost:     200 * time.Nanosecond,
 		},
 		Features: Features{Cache: true, Proxy: true},
 	}
@@ -179,9 +169,6 @@ func (c Cluster) Validate() error {
 	}
 	if c.Proxy.RingSlots <= 0 || c.Proxy.RingSlotSize <= 12 {
 		return errors.New("config: proxy ring geometry invalid")
-	}
-	if c.Proxy.FlushMaxLag < 0 {
-		return errors.New("config: proxy FlushMaxLag must be non-negative")
 	}
 	if int64(c.Proxy.RingSlots)*int64(c.Proxy.RingSlotSize) > c.RingBytes {
 		return fmt.Errorf("config: one ring (%d B) exceeds RingBytes %d",

@@ -206,13 +206,10 @@ func New(ec Config) (*Engine, error) {
 	// version so readers observe that the object changed.
 	e.leases.OnWriterRelease(func(addr region.GAddr) { _ = e.lockTbl.BumpVersionRaw(addr) })
 	if e.flusher, err = proxy.NewEngine(proxy.Config{
-		RingDev:       ringDev,
-		NVM:           nvm,
-		CPU:           e.cpu,
-		PollCost:      cfg.Proxy.PollCost,
-		CacheApply:    e.ApplyToCache,
-		FlushAdaptive: cfg.Proxy.FlushAdaptive,
-		FlushMaxLag:   cfg.Proxy.FlushMaxLag,
+		RingDev:    ringDev,
+		NVM:        nvm,
+		CPU:        e.cpu,
+		CacheApply: e.ApplyToCache,
 	}); err != nil {
 		return nil, err
 	}

@@ -23,15 +23,8 @@ type Device struct {
 	profile MediaProfile
 	ctrl    *simnet.Resource
 
-	// readObserver, when set, sees every timed Read's instants and size.
-	// The proxy pacer installs it on the NVM pool to watch foreground
-	// read pressure — including one-sided RDMA reads that never pass
-	// through the engine. It runs on the reader with no device locks
-	// held, so it must be cheap and never block.
-	readObserver atomic.Value // of ReadObserver
-
-	// Write accounting for the bandwidth meter: totals of bytes written,
-	// controller occupancy charged, and timed write ops.
+	// Write accounting (WriteStats): totals of bytes written, controller
+	// occupancy charged, and timed write ops.
 	wrBytes atomic.Int64
 	wrBusy  atomic.Int64
 	wrOps   atomic.Int64
@@ -39,10 +32,6 @@ type Device struct {
 	mu  sync.RWMutex // guards buf contents
 	buf []byte
 }
-
-// ReadObserver receives one timed read: its arrival and completion
-// instants and the byte count.
-type ReadObserver func(at, end simnet.Time, n int)
 
 // WriteStats is a snapshot of a device's timed-write accounting.
 type WriteStats struct {
@@ -99,19 +88,6 @@ func (d *Device) Profile() MediaProfile { return d.profile }
 // useful for measuring bandwidth saturation in experiments.
 func (d *Device) ControllerStats() simnet.ResourceStats { return d.ctrl.Stats() }
 
-// ControllerBusyUntil returns the device controller's watermark: the
-// instant its already-accepted work completes. The proxy pacer bounds
-// how far flushing may push this past the foreground.
-func (d *Device) ControllerBusyUntil() simnet.Time { return d.ctrl.BusyUntil() }
-
-// SetReadObserver installs the hook invoked after every timed Read.
-// Pass nil-safe functions only; the hook runs on the reading goroutine.
-func (d *Device) SetReadObserver(fn ReadObserver) {
-	if fn != nil {
-		d.readObserver.Store(fn)
-	}
-}
-
 // WriteStats returns a snapshot of the device's timed-write accounting.
 func (d *Device) WriteStats() WriteStats {
 	return WriteStats{
@@ -139,11 +115,7 @@ func (d *Device) Read(at simnet.Time, off int64, dst []byte) (simnet.Time, error
 	d.mu.RLock()
 	copy(dst, d.buf[off:off+int64(len(dst))])
 	d.mu.RUnlock()
-	done := end.Add(d.profile.ReadLatency)
-	if fn, ok := d.readObserver.Load().(ReadObserver); ok {
-		fn(at, done, len(dst))
-	}
-	return done, nil
+	return end.Add(d.profile.ReadLatency), nil
 }
 
 // Write copies src into the device starting at off, charging the device's

@@ -56,17 +56,6 @@ func (b *flushBatch) payload(n int) []byte {
 	return b.data[need-n : need]
 }
 
-// oldestStaged returns the earliest staging instant in the batch.
-func (b *flushBatch) oldestStaged() simnet.Time {
-	oldest := b.recs[0].stagedAt
-	for _, rec := range b.recs[1:] {
-		if rec.stagedAt < oldest {
-			oldest = rec.stagedAt
-		}
-	}
-	return oldest
-}
-
 // sortByNVMOff fills b.idx with record indices ordered by target NVM
 // offset, stable in batch order for equal offsets. Insertion sort: the
 // batch is at most maxFlushBatch records and often nearly sorted

@@ -11,12 +11,9 @@
 // writes, tracks credits for backpressure, buffers pending updates so
 // the client observes its own writes before they flush).
 //
-// Flushing is batched and interference-aware. Each worker drains its
-// queue into a batch, coalesces records targeting adjacent or
-// overlapping NVM ranges into single large writes (coalesce.go), and —
-// when adaptive flushing is enabled — defers to the pacer (pacer.go)
-// before spending NVM controller occupancy that foreground reads would
-// queue behind.
+// Flushing is batched. Each worker drains its queue into a batch and
+// coalesces records targeting adjacent or overlapping NVM ranges into
+// single large writes (coalesce.go).
 package proxy
 
 import (
@@ -40,9 +37,9 @@ var ErrEngineClosed = errors.New("proxy: engine closed")
 // target global address (8) + payload length (4).
 const slotHeaderBytes = 12
 
-// DefaultPollCost is the server CPU cost of discovering and dispatching
-// one staged record (the polling loop's per-record share).
-const DefaultPollCost = 200 * time.Nanosecond
+// pollCost is the server CPU cost of discovering and dispatching one
+// staged record (the polling loop's per-record share).
+const pollCost = 200 * time.Nanosecond
 
 // flushWorkers is the number of proxy threads per server. Records are
 // sharded by ring, so each client's writes keep their FIFO order while
@@ -95,9 +92,11 @@ type EngineStats struct {
 	Coalesced      int64           // records merged into another record's NVM write
 	Barriers       int64           // drain barriers executed
 	QueueHighWater int64           // deepest flusher queue observed
-	BackoffLevel   int64           // current pacer backoff level (0 = full throttle)
-	FlushBW        int64           // EWMA effective NVM flush bandwidth, bytes/sec
-	GateWaits      int64           // wall-clock quanta flush workers spent gated
+	// BackoffLevel and GateWaits are retired: the mechanism they reported
+	// is gone, nothing writes them and they read 0. Kept only because
+	// benchmark/ still reads them; they leave with its next change.
+	BackoffLevel int64
+	GateWaits    int64
 }
 
 // Config configures an Engine.
@@ -106,22 +105,12 @@ type Config struct {
 	RingDev *hmem.Device
 	// NVM is the server's NVM pool the flushers drain into.
 	NVM *hmem.Device
-	// CPU is the server CPU resource charged PollCost per record.
+	// CPU is the server CPU resource charged the per-record poll and
+	// copy-out cost.
 	CPU *simnet.Resource
-	// PollCost is the per-record poll/dispatch CPU cost
-	// (DefaultPollCost if non-positive).
-	PollCost time.Duration
 	// CacheApply writes flushed data through to promoted DRAM copies.
 	// May be nil.
 	CacheApply CacheApply
-	// FlushAdaptive enables the interference-aware pacer: flush batch
-	// size and inter-batch delay track foreground NVM read pressure.
-	// When false the flushers still coalesce but never back off.
-	FlushAdaptive bool
-	// FlushMaxLag bounds how far flushing may lag behind staging under
-	// backoff (DefaultFlushMaxLag if non-positive). Ignored unless
-	// FlushAdaptive is set.
-	FlushMaxLag time.Duration
 }
 
 // Engine is one server's proxy flusher pool: it drains staged records
@@ -131,9 +120,7 @@ type Engine struct {
 	ringDev    *hmem.Device // server DRAM holding the rings
 	nvm        *hmem.Device // server NVM pool
 	cpu        *simnet.Resource
-	pollCost   time.Duration
 	cacheApply CacheApply
-	pacer      *pacer
 
 	workers []chan workItem // one queue per worker
 	wg      sync.WaitGroup
@@ -163,9 +150,6 @@ type Engine struct {
 	// applied lag in nanoseconds. It runs on the flush worker, so it must
 	// be cheap and never block.
 	flushObserver atomic.Value // of func(lagNanos int64)
-	// gateObserver, when set, receives each batch's pacer gate wait in
-	// nanoseconds (only when the gate actually waited). Same contract.
-	gateObserver atomic.Value // of func(gateNanos int64)
 }
 
 // NewEngine starts the flush workers draining records into cfg.NVM.
@@ -177,29 +161,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.RingDev.Kind() != hmem.KindDRAM {
 		return nil, fmt.Errorf("proxy: staging rings must live in DRAM, got %v", cfg.RingDev.Kind())
 	}
-	if cfg.PollCost <= 0 {
-		cfg.PollCost = DefaultPollCost
-	}
-	nvm := cfg.NVM
 	e := &Engine{
 		ringDev:    cfg.RingDev,
-		nvm:        nvm,
+		nvm:        cfg.NVM,
 		cpu:        cfg.CPU,
-		pollCost:   cfg.PollCost,
 		cacheApply: cfg.CacheApply,
-		pacer: newPacer(cfg.FlushAdaptive, cfg.FlushMaxLag, func() simnet.Time {
-			return nvm.ControllerBusyUntil()
-		}),
-		workers: make([]chan workItem, flushWorkers),
+		workers:    make([]chan workItem, flushWorkers),
 	}
-	// The pacer's pressure signal is every foreground NVM read — wired at
-	// the device so one-sided RDMA reads, which never pass through the
-	// engine, are seen too. The flushers themselves only read ring DRAM,
-	// so they never feed their own backoff.
-	profile := nvm.Profile()
-	nvm.SetReadObserver(func(at, end simnet.Time, n int) {
-		e.pacer.observeRead(end, profile.ReadTime(n), end.Sub(at))
-	})
 	for i := range e.workers {
 		// Shallow queues keep the flush workers tightly coupled to their
 		// producers in wall-clock time: a worker that falls far behind
@@ -238,12 +206,11 @@ func (e *Engine) workerLoop(ch chan workItem) {
 	}
 }
 
-// drainInto opportunistically drains queued records into b, up to the
-// pacer's current batch cap. It stops at an empty queue, a closed
-// channel, or an exclusive task — which is returned, not run.
+// drainInto opportunistically drains queued records into b, up to
+// maxFlushBatch. It stops at an empty queue, a closed channel, or an
+// exclusive task — which is returned, not run.
 func (e *Engine) drainInto(b *flushBatch, ch chan workItem) func() {
-	limit := e.pacer.batchLimit()
-	for len(b.recs) < limit {
+	for len(b.recs) < maxFlushBatch {
 		select {
 		case item, ok := <-ch:
 			if !ok {
@@ -281,7 +248,7 @@ func (e *Engine) flushSweep(b *flushBatch) {
 	for i := range b.recs {
 		rec := &b.recs[i]
 		copyCost := e.ringDev.Profile().ReadTime(rec.size)
-		_, tRead := e.cpu.Acquire(rec.stagedAt, e.pollCost+copyCost)
+		_, tRead := e.cpu.Acquire(rec.stagedAt, pollCost+copyCost)
 		b.tRead = append(b.tRead, tRead)
 		b.ackAt = append(b.ackAt, tRead)
 		b.ok = append(b.ok, false)
@@ -299,14 +266,7 @@ func (e *Engine) flushSweep(b *flushBatch) {
 		}
 	}
 
-	// Phase 2 — gate, coalesce, persist. The gate runs after copy-out so
-	// a backed-off flusher delays persists, never credit returns: the
-	// ring cannot wedge behind the pacer.
-	if waited := e.pacer.gate(b.oldestStaged()); waited > 0 {
-		if fn, ok := e.gateObserver.Load().(func(int64)); ok {
-			fn(int64(waited))
-		}
-	}
+	// Phase 2 — coalesce and persist.
 	b.sortByNVMOff()
 	for lo := 0; lo < len(b.idx); {
 		if b.off[b.idx[lo]] < 0 {
@@ -330,7 +290,6 @@ func (e *Engine) flushSweep(b *flushBatch) {
 		e.nvmWrites.Inc()
 		e.bytes.Add(int64(len(b.run)))
 		e.coalesced.Add(int64(hi - lo - 1))
-		e.pacer.recordPersist(int64(len(b.run)), e.nvm.Profile().WriteOccupancy(len(b.run)))
 		// Write through to promoted DRAM copies, member by member in
 		// batch order (a later overwrite must land last there too).
 		for _, ri := range b.memb {
@@ -375,15 +334,6 @@ func (e *Engine) SetFlushObserver(fn func(lagNanos int64)) {
 	}
 }
 
-// SetGateObserver installs a hook invoked with the wall-clock
-// nanoseconds a flush batch spent waiting at the pacer gate (only for
-// batches that waited). Same contract as SetFlushObserver.
-func (e *Engine) SetGateObserver(fn func(gateNanos int64)) {
-	if fn != nil {
-		e.gateObserver.Store(fn)
-	}
-}
-
 // enqueue hands a staged record to its ring's worker, preserving the
 // client's write order.
 func (e *Engine) enqueue(rec record) error {
@@ -397,7 +347,6 @@ func (e *Engine) enqueue(rec record) error {
 	e.queueHW.SetMax(int64(len(ch)) + 1)
 	e.inflight.Add(1)
 	e.mu.Unlock()
-	e.pacer.observeStaged(rec.stagedAt)
 	// The send happens outside e.mu: a backed-up worker queue must stall
 	// only this producer, never Close/Submit/Barrier or other rings.
 	ch <- workItem{rec: rec}
@@ -472,9 +421,6 @@ func (e *Engine) Stats() EngineStats {
 		Coalesced:      e.coalesced.Load(),
 		Barriers:       e.barriers.Load(),
 		QueueHighWater: e.queueHW.Load(),
-		BackoffLevel:   e.pacer.level.Load(),
-		FlushBW:        e.pacer.ewmaBW.Load(),
-		GateWaits:      e.pacer.gateWaits.Load(),
 	}
 }
 
@@ -487,18 +433,11 @@ func (e *Engine) RegisterTelemetry(reg *telemetry.Registry, labels ...telemetry.
 	reg.RegisterCounter("gengar_proxy_flushed_bytes_total", "bytes written to NVM after coalescing", &e.bytes, labels...)
 	reg.RegisterCounter("gengar_proxy_nvm_writes_total", "coalesced NVM device writes", &e.nvmWrites, labels...)
 	reg.RegisterCounter("gengar_proxy_coalesced_records_total", "records merged into another record's NVM write", &e.coalesced, labels...)
-	reg.RegisterCounter("gengar_proxy_flush_gate_waits_total", "wall-clock quanta flush workers spent gated", &e.pacer.gateWaits, labels...)
 	reg.RegisterCounter("gengar_proxy_barriers_total", "drain barriers executed", &e.barriers, labels...)
 	reg.RegisterGauge("gengar_proxy_queue_high_water", "deepest flusher queue observed", &e.queueHW, labels...)
 	reg.RegisterHistogram("gengar_proxy_flush_lag_seconds", "staged-to-applied simulated delay", &e.flushLag, labels...)
 	reg.GaugeFunc("gengar_proxy_inflight", "records staged but not yet flushed", func() int64 {
 		return e.staged.Load() - e.flushed.Load()
-	}, labels...)
-	reg.GaugeFunc("gengar_proxy_flush_backoff_level", "pacer backoff level (0 = full throttle)", func() int64 {
-		return e.pacer.level.Load()
-	}, labels...)
-	reg.GaugeFunc("gengar_proxy_flush_bw_bytes_per_sec", "EWMA effective NVM flush bandwidth", func() int64 {
-		return e.pacer.ewmaBW.Load()
 	}, labels...)
 }
 

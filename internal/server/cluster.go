@@ -71,11 +71,6 @@ func NewCluster(cfg config.Cluster) (*Cluster, error) {
 		s.Engine().SetFlushObserver(func(lagNanos int64) {
 			c.tracer.ObserveStage("write", span.StageFlushPersist, lagNanos)
 		})
-		// Likewise the pacer's gate waits: they happen on the flush
-		// worker, after the staging span already acked.
-		s.Engine().SetGateObserver(func(gateNanos int64) {
-			c.tracer.ObserveStage("write", span.StageFlushGate, gateNanos)
-		})
 	}
 	if err := c.registry.ConnectMesh(); err != nil {
 		c.Close()

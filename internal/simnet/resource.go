@@ -58,14 +58,6 @@ func (r *Resource) Acquire(arrival Time, service Duration) (start, end Time) {
 	return start, end
 }
 
-// BusyUntil returns the current watermark: the earliest instant at which a
-// newly-arriving operation could begin service.
-func (r *Resource) BusyUntil() Time {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.busyUntil
-}
-
 // ResourceStats is a snapshot of a resource's accumulated usage.
 type ResourceStats struct {
 	Name      string

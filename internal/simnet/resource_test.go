@@ -131,7 +131,7 @@ func TestResourceBusyConservationProperty(t *testing.T) {
 			}
 		}
 		st := r.Stats()
-		return st.BusyTotal == sum && r.BusyUntil() == maxEnd && st.Ops == int64(nOps)
+		return st.BusyTotal == sum && r.busyUntil == maxEnd && st.Ops == int64(nOps)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -52,14 +52,6 @@ type ServerStats struct {
 	HostedBytes  int64 // arena bytes those hosted copies occupy
 	SpilledBytes int64 // bytes this daemon has spilled onto its peers
 	PeersLive    int64 // peer links currently connected
-
-	// Adaptive-flushing counters: NVM bytes actually written after
-	// coalescing, the device writes that carried them, the records merged
-	// away, and the pacer's current backoff level.
-	FlushedBytes int64
-	NVMWrites    int64
-	Coalesced    int64
-	BackoffLevel int64
 }
 
 // PoolConfig shapes a client pool beyond its server addresses.
@@ -918,10 +910,6 @@ func (p *Pool) Stats() ([]ServerStats, error) {
 		st.HostedBytes = r.I64()
 		st.SpilledBytes = r.I64()
 		st.PeersLive = r.I64()
-		st.FlushedBytes = r.I64()
-		st.NVMWrites = r.I64()
-		st.Coalesced = r.I64()
-		st.BackoffLevel = r.I64()
 		err = r.Err()
 		sc.release(resp)
 		if err != nil {

@@ -63,12 +63,6 @@ type ServerConfig struct {
 	// TraceSlow gates the slow-op ring served at /debug/trace: spans
 	// at least this slow are retained. 0 retains every sampled span.
 	TraceSlow time.Duration
-	// FlushAdaptive enables interference-aware flushing: the proxy
-	// flushers back off while foreground NVM read latency climbs.
-	FlushAdaptive bool
-	// FlushMaxLag bounds flush lag under adaptive backoff; 0 selects
-	// the proxy default. Ignored unless FlushAdaptive is set.
-	FlushMaxLag time.Duration
 }
 
 func (c *ServerConfig) fill() error {
@@ -112,8 +106,6 @@ func (c *ServerConfig) cluster() config.Cluster {
 	cc.DRAMBufferBytes = c.CacheBytes
 	cc.RingBytes = c.RingBytes
 	cc.Features = config.Features{Cache: !c.NoCache, Proxy: !c.NoProxy}
-	cc.Proxy.FlushAdaptive = c.FlushAdaptive
-	cc.Proxy.FlushMaxLag = c.FlushMaxLag
 	return cc
 }
 
@@ -273,9 +265,6 @@ func NewPoolServer(cfg ServerConfig) (*PoolServer, error) {
 	// its stage is observed standalone: staged→applied lag per record.
 	eng.Flusher().SetFlushObserver(func(lagNanos int64) {
 		s.tracer.ObserveStage("write", span.StageFlushPersist, lagNanos)
-	})
-	eng.Flusher().SetGateObserver(func(gateNanos int64) {
-		s.tracer.ObserveStage("write", span.StageFlushGate, gateNanos)
 	})
 	return s, nil
 }
@@ -859,7 +848,7 @@ func (s *PoolServer) serve(sess *session, op Op, req *payloadReader, sp *span.Sp
 			live = int64(s.peers.liveCount())
 		}
 		var w payloadWriter
-		f := s.frames.newFrame(&w, 22*8)
+		f := s.frames.newFrame(&w, 18*8)
 		w.I64(int64(st.Objects)).I64(st.PoolUsed).I64(s.ops.Load()).
 			I64(st.Hits).I64(st.Misses).
 			I64(st.Proxy.Staged).I64(st.Proxy.Flushed).
@@ -867,9 +856,7 @@ func (s *PoolServer) serve(sess *session, op Op, req *payloadReader, sp *span.Sp
 			I64(st.Digests).U64(st.RemapEpoch).
 			I64(st.PeerHits).I64(st.PeerErrors).
 			I64(int64(st.HostedCopies)).I64(st.HostedBytes).
-			I64(spilled).I64(live).
-			I64(st.Proxy.BytesFlushed).I64(st.Proxy.NVMWrites).
-			I64(st.Proxy.Coalesced).I64(st.Proxy.BackoffLevel)
+			I64(spilled).I64(live)
 		return finishResp(f, &w), nil
 
 	case OpPeerPlace:

@@ -72,10 +72,6 @@ const (
 	// to the peer arena holding the spilled copy — the round trip to the
 	// holder, including its generation check.
 	StagePeerRead
-	// StageFlushGate is the wall-clock time a flush batch waited at the
-	// adaptive pacer's gate before persisting (flusher-observed, like
-	// StageFlushPersist).
-	StageFlushGate
 
 	numStages
 )
@@ -107,8 +103,6 @@ func (s Stage) String() string {
 		return "decode"
 	case StagePeerRead:
 		return "peerRead"
-	case StageFlushGate:
-		return "flushGate"
 	}
 	return "unknown"
 }

@@ -270,3 +270,20 @@ func TestDefaultClockMonotone(t *testing.T) {
 		t.Fatalf("wall-clocked stage did not advance: %+v", sums)
 	}
 }
+
+// TestStageLabelsCoverTheEnum keeps the vocabulary dense: every Stage
+// below numStages has its own label, so adding or removing a stage
+// cannot leave one that exports as "unknown" or shares a metric series.
+func TestStageLabelsCoverTheEnum(t *testing.T) {
+	seen := map[string]Stage{}
+	for s := Stage(0); s < numStages; s++ {
+		label := s.String()
+		if label == "unknown" {
+			t.Errorf("stage %d has no label", s)
+		}
+		if prev, dup := seen[label]; dup {
+			t.Errorf("stages %d and %d share label %q", prev, s, label)
+		}
+		seen[label] = s
+	}
+}

@@ -11,6 +11,9 @@ import (
 	"time"
 
 	"gengar"
+	"gengar/internal/config"
+	"gengar/internal/server"
+	"gengar/internal/tcpnet"
 	"gengar/internal/telemetry"
 	"gengar/internal/telemetry/span"
 )
@@ -233,5 +236,68 @@ func TestTelemetryIsolatedPerPool(t *testing.T) {
 	}
 	if p2.Cluster().Tracer().Finished() != 0 {
 		t.Fatal("pool 2 leaked op spans from pool 1")
+	}
+}
+
+// TestMetricNameParityAcrossMounts holds the two mounts to one metric
+// vocabulary: a sim cluster's registry and a TCP daemon's registry
+// expose the same gengar_proxy_* and gengar_server_* names, and neither
+// still carries one of the retired flush-pacing instruments.
+func TestMetricNameParityAcrossMounts(t *testing.T) {
+	cfg := config.Default()
+	cfg.Servers = 1
+	cfg.NVMBytes = 1 << 20
+	cfg.DRAMBufferBytes = 1 << 16
+	cluster, err := server.NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	daemon, err := tcpnet.NewPoolServer(tcpnet.ServerConfig{ID: 1, PoolBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer daemon.Close()
+
+	names := func(reg *telemetry.Registry) map[string]bool {
+		set := map[string]bool{}
+		add := func(name string) {
+			if strings.HasPrefix(name, "gengar_proxy_") || strings.HasPrefix(name, "gengar_server_") {
+				set[name] = true
+			}
+		}
+		snap := reg.Snapshot()
+		for _, samples := range [][]telemetry.Sample{snap.Counters, snap.Gauges} {
+			for _, s := range samples {
+				add(s.Name)
+			}
+		}
+		for _, h := range snap.Histograms {
+			add(h.Name)
+		}
+		return set
+	}
+	sim, tcp := names(cluster.Telemetry()), names(daemon.Telemetry())
+	if len(sim) == 0 {
+		t.Fatal("sim registry exposes no gengar_proxy_*/gengar_server_* metric")
+	}
+	for name := range sim {
+		if !tcp[name] {
+			t.Errorf("%s is on the sim mount only", name)
+		}
+	}
+	for name := range tcp {
+		if !sim[name] {
+			t.Errorf("%s is on the TCP mount only", name)
+		}
+	}
+	for _, retired := range []string{
+		"gengar_proxy_flush_gate_waits_total",
+		"gengar_proxy_flush_backoff_level",
+		"gengar_proxy_flush_bw_bytes_per_sec",
+	} {
+		if sim[retired] || tcp[retired] {
+			t.Errorf("retired metric %s is still registered", retired)
+		}
 	}
 }
