@@ -56,7 +56,6 @@ func run() error {
 		lockWait    = flag.Duration("lock-wait", 2*time.Second, "lock acquire timeout")
 		dataFile    = flag.String("data", "", "snapshot file: restored on start if present, written on shutdown")
 		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/trace on this address (empty disables)")
-		keepAlive   = flag.Duration("keepalive", 0, "TCP keep-alive probe period on accepted connections (0 selects 30s, negative disables)")
 		traceSample = flag.Int("trace-sample", 64, "trace one in N server-initiated ops (0 disables local sampling; client-sampled ops are always traced)")
 		traceSlow   = flag.Duration("trace-slow", time.Millisecond, "retain traced ops at least this slow in the /debug/trace ring (0 retains all)")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof on the debug address")
@@ -77,7 +76,6 @@ func run() error {
 		Peers:          splitPeers(*peers),
 		DefaultLease:   *lease,
 		AcquireTimeout: *lockWait,
-		KeepAlive:      *keepAlive,
 		TraceSample:    *traceSample,
 		TraceSlow:      *traceSlow,
 	})

@@ -24,12 +24,6 @@ type ClientView struct {
 	redirects metrics.Counter // lookups that hit a promoted object
 }
 
-// Lookups returns how many Lookup calls the view has served.
-func (v *ClientView) Lookups() int64 { return v.lookups.Load() }
-
-// Redirects returns how many lookups resolved to a promoted DRAM copy.
-func (v *ClientView) Redirects() int64 { return v.redirects.Load() }
-
 // RegisterTelemetry exposes the view's lookup counters and state in reg
 // under the gengar_view_* names with the given labels (typically the
 // owning client and home server).

@@ -104,11 +104,6 @@ func (p MediaProfile) ReadTime(n int) time.Duration {
 	return p.ReadLatency + p.ReadOccupancy(n)
 }
 
-// WriteTime returns the unloaded end-to-end latency of a write of n bytes.
-func (p MediaProfile) WriteTime(n int) time.Duration {
-	return p.WriteLatency + p.WriteOccupancy(n)
-}
-
 func transferTime(n int, bytesPerSec float64) time.Duration {
 	if n <= 0 || bytesPerSec <= 0 {
 		return 0

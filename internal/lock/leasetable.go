@@ -140,19 +140,16 @@ func (t *LeaseTable) LockShared(session uint64, addr region.GAddr, lease, timeou
 	}
 }
 
-// wait blocks until a release broadcast or (approximately) the deadline;
-// a ticker bounds the wait so lease expiries are eventually observed.
+// leaseTick bounds one wait, so a lease that expires with no release to
+// broadcast it is still noticed.
+const leaseTick = 10 * time.Millisecond
+
+// wait blocks until a release broadcast, the deadline or the next tick,
+// whichever is first. Caller holds mu.
 func (t *LeaseTable) wait(deadline time.Time) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-time.After(10 * time.Millisecond):
-			t.cond.Broadcast()
-		case <-done:
-		}
-	}()
+	timer := time.AfterFunc(min(leaseTick, deadline.Sub(t.now())), t.cond.Broadcast)
 	t.cond.Wait()
-	close(done)
+	timer.Stop()
 }
 
 // UnlockExclusive releases session's write lock covering addr.

@@ -94,3 +94,53 @@ func TestLeaseWriterReleaseHook(t *testing.T) {
 		t.Fatalf("hook fired on failed release: %v", bumped)
 	}
 }
+
+// TestLeaseTableWaiterWakes covers the three ways a contended acquire
+// ends, none of which may be lost by the waiter's condition variable and
+// timer: a release, a holder's lease lapsing with nobody to announce it,
+// and the acquire's own deadline.
+func TestLeaseTableWaiterWakes(t *testing.T) {
+	tbl, err := NewLeaseTable(16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := region.MustGAddr(1, 64)
+
+	// A release wakes every waiter; each then gets its turn.
+	if err := tbl.LockExclusive(1, a, time.Minute, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	const waiters = 8
+	errc := make(chan error, waiters)
+	for s := uint64(2); s < 2+waiters; s++ {
+		go func(s uint64) {
+			err := tbl.LockExclusive(s, a, time.Minute, 10*time.Second)
+			if err == nil {
+				err = tbl.UnlockExclusive(s, a)
+			}
+			errc <- err
+		}(s)
+	}
+	time.Sleep(5 * time.Millisecond) // let them park
+	if err := tbl.UnlockExclusive(1, a); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < waiters; i++ {
+		if err := <-errc; err != nil {
+			t.Fatalf("waiter: %v", err)
+		}
+	}
+
+	// A lapsed lease is noticed with no release to broadcast it.
+	if err := tbl.LockShared(20, a, 15*time.Millisecond, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.LockExclusive(21, a, time.Minute, 10*time.Second); err != nil {
+		t.Fatalf("writer behind a lapsed reader lease: %v", err)
+	}
+
+	// The deadline ends the wait on its own.
+	if err := tbl.LockShared(22, a, time.Minute, time.Millisecond); !errors.Is(err, ErrLeaseTimeout) {
+		t.Fatalf("reader behind a live writer: %v", err)
+	}
+}

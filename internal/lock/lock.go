@@ -15,10 +15,10 @@
 // Objects hash onto a fixed-size table, so two objects may share a slot;
 // that coarsens locking but never weakens it. Acquisition is bounded by
 // a retry budget, so a stuck lock surfaces as ErrTimeout rather than a
-// hang; deployments that must survive clients crashing while holding
-// locks use the lease variant (LockExclusiveLease in lease.go), which
-// embeds an expiry in the lock word and lets contenders steal lapsed
-// leases atomically.
+// hang; nothing in the one-sided protocol reclaims the lock of a client
+// that died holding it. The mount that has to survive that — the TCP
+// daemon — locks through the server-mediated LeaseTable
+// (leasetable.go), whose grants expire.
 package lock
 
 import (
@@ -180,14 +180,6 @@ type Client struct {
 	acquisitions metrics.Counter
 	acqRetries   metrics.Counter
 }
-
-// Acquisitions returns how many exclusive and shared locks this client
-// has successfully acquired.
-func (c *Client) Acquisitions() int64 { return c.acquisitions.Load() }
-
-// Retries returns how many acquisition attempts failed and were retried
-// (CAS losses plus shared-lock back-outs).
-func (c *Client) Retries() int64 { return c.acqRetries.Load() }
 
 // RegisterTelemetry exposes the client's contention counters in reg
 // under the gengar_lock_* names with the given labels (typically the

@@ -5,8 +5,7 @@ import (
 )
 
 // maxFlushBatch bounds how many drained records one flush sweep may
-// coalesce. It also sizes the writer's ack channel headroom: a worker
-// holds at most one batch of copied-out-but-unacked records at a time.
+// coalesce.
 const maxFlushBatch = 64
 
 // flushBatch is one flush worker's drained-batch scratch. Every slice

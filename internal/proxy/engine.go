@@ -8,8 +8,8 @@
 //
 // The split is: Engine (server side: rings live in server DRAM, a pool
 // of flush workers drains them to NVM) and Writer (client side: stages
-// writes, tracks credits for backpressure, buffers pending updates so
-// the client observes its own writes before they flush).
+// writes, counts free ring slots for backpressure, buffers pending
+// updates so the client observes its own writes before they flush).
 //
 // Flushing is batched. Each worker drains its queue into a batch and
 // coalesces records targeting adjacent or overlapping NVM ranges into
@@ -48,13 +48,6 @@ const pollCost = 200 * time.Nanosecond
 // clock flush rate keeps up with its producers.
 const flushWorkers = 4
 
-// Ack reports that a staged record has been applied to NVM (and to the
-// DRAM copy, if the object is promoted).
-type Ack struct {
-	Seq       uint64
-	AppliedAt simnet.Time
-}
-
 // CacheApply is the hook the server installs so flushed data is written
 // through to a promoted object's DRAM copy. It receives the flush
 // completion instant and the write's target range, and returns the
@@ -63,15 +56,15 @@ type CacheApply func(at simnet.Time, addr region.GAddr, data []byte) simnet.Time
 
 // record is one staged write traveling from a Writer to the Engine.
 type record struct {
-	ringID   int
+	// w staged the record. The flush worker calls it twice: returnSlots
+	// once the payload has left the ring, applied once it is in NVM.
+	w        *Writer
 	seq      uint64
 	addr     region.GAddr // target global address of the write
 	nvmOff   int64        // target offset in the NVM device
 	ringOff  int64        // payload location in the ring (past header)
 	size     int
 	stagedAt simnet.Time
-	acks     chan<- Ack
-	slotFree chan<- struct{} // signaled once the payload left the ring
 }
 
 // workItem is what a worker channel carries: a staged record, or (task
@@ -230,8 +223,9 @@ func (e *Engine) drainInto(b *flushBatch, ch chan workItem) func() {
 // flushSweep applies one drained batch: copy every payload out of its
 // ring (freeing the slot immediately), coalesce records into runs of
 // adjacent/overlapping NVM ranges, persist each run with a single NVM
-// write, write through to promoted DRAM copies, and ack — in the exact
-// order records were drained, so every client still sees FIFO acks.
+// write, write through to promoted DRAM copies, and tell each record's
+// writer it is applied — in the exact order records were drained, so
+// every writer's watermark still advances in FIFO order.
 //
 //gengar:hotpath
 func (e *Engine) flushSweep(b *flushBatch) {
@@ -243,8 +237,9 @@ func (e *Engine) flushSweep(b *flushBatch) {
 	// its payload has been copied out, well before the NVM apply
 	// completes — real proxies free ring space the same way, which keeps
 	// staging from stalling behind slow media. Releasing before the whole
-	// batch persists is safe: credits are anonymous and copy-out is FIFO
-	// per ring, so at most Slots records per ring are staged-not-copied.
+	// batch persists is safe: slots are counted, not named, and copy-out
+	// is FIFO per ring, so at most Slots records per ring are
+	// staged-not-copied.
 	for i := range b.recs {
 		rec := &b.recs[i]
 		copyCost := e.ringDev.Profile().ReadTime(rec.size)
@@ -254,11 +249,11 @@ func (e *Engine) flushSweep(b *flushBatch) {
 		b.ok = append(b.ok, false)
 		dst := b.payload(rec.size)
 		err := e.ringDev.ReadRaw(rec.ringOff, dst)
-		rec.slotFree <- struct{}{}
+		rec.w.returnSlots(1)
 		if err != nil {
 			// A ring-read failure is a wiring bug (offsets are engine-
-			// controlled); the record is acked anyway in phase 3 so
-			// clients never deadlock.
+			// controlled); the record is reported applied anyway in
+			// phase 3 so clients never deadlock.
 			b.off = append(b.off, -1)
 			b.data = b.data[:len(b.data)-rec.size]
 		} else {
@@ -306,9 +301,11 @@ func (e *Engine) flushSweep(b *flushBatch) {
 		lo = hi
 	}
 
-	// Phase 3 — account and ack, in batch order. Acks only leave after
-	// every run has persisted, so a client that has seen ack N knows
-	// records 1..N are all in NVM regardless of how runs reordered them.
+	// Phase 3 — account and report, in batch order. A writer hears of
+	// record N only after every run has persisted, so a watermark at N
+	// means records 1..N are all in NVM regardless of how runs reordered
+	// them. Writer.applied takes the writer's pendMu, a leaf lock; the
+	// worker holds nothing here.
 	for i := range b.recs {
 		rec := &b.recs[i]
 		if b.ok[i] {
@@ -319,7 +316,7 @@ func (e *Engine) flushSweep(b *flushBatch) {
 				fn(int64(lag))
 			}
 		}
-		rec.acks <- Ack{Seq: rec.seq, AppliedAt: b.ackAt[i]}
+		rec.w.applied(rec.seq, b.ackAt[i])
 	}
 }
 
@@ -343,7 +340,7 @@ func (e *Engine) enqueue(rec record) error {
 		return ErrEngineClosed
 	}
 	e.staged.Inc()
-	ch := e.workers[rec.ringID%len(e.workers)]
+	ch := e.workers[rec.w.ring.ID%len(e.workers)]
 	e.queueHW.SetMax(int64(len(ch)) + 1)
 	e.inflight.Add(1)
 	e.mu.Unlock()

@@ -2,7 +2,10 @@
 
 package proxy
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestCoalesceAllocFree pins the zero-allocation contract of the
 // coalescing flush path: once the batch scratch has grown to its
@@ -38,27 +41,40 @@ func TestCoalesceAllocFree(t *testing.T) {
 }
 
 // TestEnqueueAllocFree pins the hand-off of a staged record to its flush
-// worker at zero allocations: the worker channel carries a concrete item
-// type, so the send does not box the record, and the sweep that applies
-// it runs on warm scratch. Race-mode coverage of enqueue is every Stage
-// test in proxy_test.go.
+// worker, and the worker's two calls back into the writer, at zero
+// allocations: the worker channel carries a concrete item type, so the
+// send does not box the record, and the sweep that applies it runs on
+// warm scratch. Race-mode coverage of enqueue is every Stage test in
+// proxy_test.go.
 func TestEnqueueAllocFree(t *testing.T) {
 	h := newHarness(t, 8, 256, nil)
-	acks := make(chan Ack, 1)
-	free := make(chan struct{}, 1)
-	rec := record{ringID: 1, addr: gaddr(0), size: 128, stagedAt: 1, acks: acks, slotFree: free}
+	w := h.writer
+	rec := record{w: w, addr: gaddr(0), size: 128, stagedAt: 1}
 	cycle := func() {
 		rec.seq++
+		w.pendMu.Lock()
+		w.free-- // the slot the worker will hand back
+		w.pendMu.Unlock()
 		if err := h.engine.enqueue(rec); err != nil {
 			t.Fatal(err)
 		}
-		<-free
-		<-acks // the record is applied; the worker is idle again
+		for { // until the record is applied and the worker idle again
+			w.pendMu.Lock()
+			done := w.flushed == rec.seq+1
+			w.pendMu.Unlock()
+			if done {
+				break
+			}
+			runtime.Gosched()
+		}
 	}
 	for i := 0; i < 64; i++ { // grow the worker's batch scratch
 		cycle()
 	}
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("enqueue→flush: %v allocs per record, want 0", allocs)
+	}
+	if got := w.FreeSlots(); got != 8 {
+		t.Fatalf("FreeSlots = %d after every record was copied out, want 8", got)
 	}
 }

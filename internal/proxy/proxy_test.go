@@ -3,6 +3,7 @@ package proxy
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -699,5 +700,109 @@ func TestReservePendingSlidesBeforeGrowing(t *testing.T) {
 	check(7, 13)
 	if &w.pending[0] == array {
 		t.Fatal("13 entries in an array of 8")
+	}
+}
+
+// TestSlotConservation holds the writer's slot accounting to its one
+// invariant — every slot taken comes back — on a ring small enough that
+// every chain waits for the flusher: concurrent stagers with chains
+// shorter and longer than the ring, each reading its own write back
+// through Pin/ApplyPending/Unpin, beside Drain callers. A lost slot, a
+// lost wake-up or a watermark that skips a record shows as a hang, a
+// stale read, or a count that is off at the end.
+func TestSlotConservation(t *testing.T) {
+	const slots, stagers, rounds, recLen = 4, 4, 40, 32
+	h := newHarness(t, slots, recLen+slotHeaderBytes, nil)
+	w := h.writer
+	var wg sync.WaitGroup
+	for g := 0; g < stagers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			base := int64(g) * 4096 // each stager owns its own addresses
+			for i := 0; i < rounds; i++ {
+				n := 1 + rng.Intn(2*slots+2) // 1..10 records: up to and beyond the ring
+				reqs := make([]StageReq, n)
+				for j := range reqs {
+					off := base + int64(j)*recLen
+					reqs[j] = StageReq{Addr: gaddr(off), NvmOff: off, Data: bytes.Repeat([]byte{byte(i), byte(j)}, recLen/2)}
+				}
+				if _, err := w.StageMulti(0, reqs); err != nil {
+					t.Errorf("StageMulti: %v", err)
+					return
+				}
+				// Read the last record back the way both mounts do.
+				last := reqs[n-1]
+				got := make([]byte, recLen)
+				w.Pin()
+				err := h.nvm.ReadRaw(last.NvmOff, got)
+				w.ApplyPending(last.Addr, got)
+				w.Unpin()
+				if err != nil || !bytes.Equal(got, last.Data) {
+					t.Errorf("stager %d round %d: read back %v (err %v), want %v", g, i, got[:2], err, last.Data[:2])
+					return
+				}
+				if i%8 == 0 {
+					w.Drain()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	w.Drain()
+	if free, pend := w.FreeSlots(), w.PendingCount(); free != slots || pend != 0 {
+		t.Fatalf("after drain: %d free slots (want %d), %d pending (want 0)", free, slots, pend)
+	}
+	if hw := w.OccupancyHighWater(); hw != slots {
+		t.Fatalf("occupancy high water %d on a ring that was kept full, want %d", hw, slots)
+	}
+}
+
+// TestSlotConservationAcrossEngineClose cuts a chain part-way: the
+// engine closes while the chain's ninth enqueue is blocked on a full
+// worker queue, so records 1-9 are in flight and the tenth is refused.
+// The nine are applied by Close's drain, the tail's pending entries and
+// slots are handed back, and the writer ends whole.
+func TestSlotConservationAcrossEngineClose(t *testing.T) {
+	const slots, chain, queued = 16, 12, 8 // queued: a worker channel's capacity
+	h := newHarness(t, slots, 32+slotHeaderBytes, nil)
+	w, e := h.writer, h.engine
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	go func() { _ = e.Submit(func() { close(parked); <-release }) }()
+	<-parked // every flush worker now waits for release
+
+	reqs := make([]StageReq, chain)
+	for j := range reqs {
+		reqs[j] = StageReq{Addr: gaddr(int64(j) * 32), NvmOff: int64(j) * 32, Data: make([]byte, 32)}
+	}
+	staged := make(chan error, 1)
+	go func() {
+		_, err := w.StageMulti(0, reqs)
+		staged <- err
+	}()
+	for e.Stats().Staged != queued+1 { // the ninth is past the closed check, blocked in its send
+		time.Sleep(100 * time.Microsecond)
+	}
+	closed := make(chan struct{})
+	go func() { e.Close(); close(closed) }()
+	for isClosed := false; !isClosed; time.Sleep(100 * time.Microsecond) {
+		e.mu.Lock()
+		isClosed = e.closed
+		e.mu.Unlock()
+	}
+	close(release)
+
+	if err := <-staged; !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("StageMulti across the close: %v", err)
+	}
+	<-closed
+	w.Drain()
+	if free, pend := w.FreeSlots(), w.PendingCount(); free != slots || pend != 0 {
+		t.Fatalf("%d free slots (want %d), %d pending (want 0)", free, slots, pend)
+	}
+	if st := e.Stats(); st.Staged != queued+1 || st.Flushed != queued+1 {
+		t.Fatalf("staged %d, flushed %d, want %d each", st.Staged, st.Flushed, queued+1)
 	}
 }

@@ -41,7 +41,7 @@ type pendingWrite struct {
 	seq  uint64
 	addr region.GAddr
 	data []byte
-	buf  *[]byte // pooled backing of data, recycled when the ack pops it
+	buf  *[]byte // pooled backing of data, recycled when popFlushed drops it
 }
 
 // bufPool recycles the per-record byte buffers of the staging hot path:
@@ -66,7 +66,7 @@ func putBuf(bp *[]byte) { bufPool.Put(bp) }
 // Writer is the client side of the proxy write path for one
 // (client, server) pair. StageMulti RDMA-WRITEs records into the next
 // ring slots — completing at DRAM speed — and hands them to the server's
-// flusher. The writer holds one credit per ring slot; when the ring is
+// flusher. The writer counts its free ring slots; when the ring is
 // full, staging blocks until the flusher copies records out (the
 // backpressure that surfaces as the write-throughput knee in the
 // evaluation).
@@ -75,11 +75,15 @@ func putBuf(bp *[]byte) { bufPool.Put(bp) }
 // client reads its own writes: ApplyPending overlays them onto data read
 // from the server, between a Pin and an Unpin.
 //
-// Locking: stageMu serializes staging (credits, sequence/slot
+// Locking: stageMu serializes staging (slot accounting, sequence/slot
 // assignment, the ring write and the enqueue — FIFO order into the
-// flusher is what makes slot reuse safe); pendMu guards the pending set
-// and applied state. The flusher and the ack path never take stageMu,
-// so credits keep returning while a stager waits for them under it.
+// flusher is what makes slot reuse safe); pendMu guards the free-slot
+// count, the pending set and applied state. pendMu is a leaf lock: the
+// flush worker takes it, holding nothing else, to hand a slot back
+// (returnSlots) and to report a record applied (applied), and nothing
+// blocks under it — the two condition waits release it. The flusher
+// never takes stageMu, so slots keep returning while a stager waits for
+// them under it.
 type Writer struct {
 	engine *Engine
 	qp     *rdma.QP // nil for a server-local writer
@@ -88,12 +92,7 @@ type Writer struct {
 	localDev *hmem.Device
 	ring     Ring
 
-	credits chan struct{}
-	ackCh   chan Ack
-	quit    chan struct{}
-	wg      sync.WaitGroup
-
-	//gengar:lint-ignore lock-across-blocking staging holds stageMu across the credit wait, ring post and enqueue by design: FIFO order into the flusher is what makes slot reuse safe (see Locking above)
+	//gengar:lint-ignore lock-across-blocking staging holds stageMu across the slot wait, ring post and enqueue by design: FIFO order into the flusher is what makes slot reuse safe (see Locking above)
 	stageMu sync.Mutex
 	nextSeq uint64
 	// Staging scratch, reused across calls (guarded by stageMu): the
@@ -108,9 +107,13 @@ type Writer struct {
 	// backpressure builds before Stage starts blocking.
 	occHW metrics.Gauge
 
-	pendMu  sync.Mutex
-	cond    *sync.Cond
-	pending []pendingWrite
+	pendMu sync.Mutex
+	// free counts the ring slots holding no record the flusher has yet to
+	// copy out; slotFreed wakes the one stager waiting for it to rise.
+	free      int
+	slotFreed *sync.Cond
+	cond      *sync.Cond // pending ran empty: Drain and Close
+	pending   []pendingWrite
 	// pendStore is the array pending lives in, from its start: flushed
 	// entries are sliced off pending's front, and reservePending slides
 	// the live ones back here instead of letting append reallocate.
@@ -138,7 +141,7 @@ func NewWriter(engine *Engine, qp *rdma.QP, ring Ring) (*Writer, error) {
 // ring device: slot images are posted by direct device writes instead of
 // one-sided RDMA WRITEs. This is the staging path of server-mediated
 // transports (the TCP mount), where the daemon stages on the client's
-// behalf — same slots, credits, FIFO flush order, read-your-writes and
+// behalf — same slots, FIFO flush order, read-your-writes and
 // backpressure as the RDMA path. Ring.DevBase addresses the ring within
 // the flusher's ring device; Handle may be zero.
 func NewLocalWriter(engine *Engine, ring Ring) (*Writer, error) {
@@ -157,44 +160,36 @@ func newWriter(engine *Engine, qp *rdma.QP, localDev *hmem.Device, ring Ring) (*
 		qp:       qp,
 		localDev: localDev,
 		ring:     ring,
-		credits:  make(chan struct{}, ring.Slots),
-		// The flusher must never block sending an ack (deadlock freedom
-		// of the whole pipeline rests on it), so the channel holds a
-		// full ring plus everything that can sit inside the flush
-		// pipeline: with batched flushing, a worker can hold one whole
-		// copied-out-but-unacked batch on top of the staged records.
-		ackCh: make(chan Ack, ring.Slots+maxFlushBatch+2*flushWorkers+4),
-		quit:  make(chan struct{}),
+		free:     ring.Slots,
 	}
 	w.cond = sync.NewCond(&w.pendMu)
-	for i := 0; i < ring.Slots; i++ {
-		w.credits <- struct{}{}
-	}
-	w.wg.Add(1)
-	go func() {
-		defer w.wg.Done()
-		w.ackLoop()
-	}()
+	w.slotFreed = sync.NewCond(&w.pendMu)
 	return w, nil
 }
 
-func (w *Writer) ackLoop() {
-	for {
-		select {
-		case ack := <-w.ackCh:
-			w.pendMu.Lock()
-			if ack.AppliedAt > w.lastApplied {
-				w.lastApplied = ack.AppliedAt
-			}
-			w.flushed = ack.Seq + 1
-			if w.pins.Load() == 0 {
-				w.popFlushed()
-			}
-			w.pendMu.Unlock()
-		case <-w.quit:
-			return
-		}
+// returnSlots gives n ring slots back. The flush worker calls it for
+// each record once the payload is copied out of the ring; staging calls
+// it for slots it took and could not fill.
+func (w *Writer) returnSlots(n int) {
+	w.pendMu.Lock()
+	w.free += n
+	w.pendMu.Unlock()
+	w.slotFreed.Signal()
+}
+
+// applied is the flush worker's report that record seq — and, flushing
+// being FIFO per ring, every record before it — is in NVM (and in the
+// DRAM copy, if the object is promoted) as of at.
+func (w *Writer) applied(seq uint64, at simnet.Time) {
+	w.pendMu.Lock()
+	if at > w.lastApplied {
+		w.lastApplied = at
 	}
+	w.flushed = seq + 1
+	if w.pins.Load() == 0 {
+		w.popFlushed()
+	}
+	w.pendMu.Unlock()
 }
 
 // StageReq is one record of a staged chain: a proxied write of Data to
@@ -254,7 +249,7 @@ func (w *Writer) Stage(at simnet.Time, addr region.GAddr, nvmOff int64, data []b
 // the whole burst take consecutive sequence numbers and slots and each
 // ring-sized run is posted as one doorbell-batched WRITE chain: one
 // PerOp for the run instead of one per record. The call blocks for a
-// credit per piece while the flusher is behind, records enter the
+// free slot per piece while the flusher is behind, records enter the
 // flusher in staging order, and every piece joins the pending set
 // before the call returns, so the stager reads its own writes.
 //
@@ -263,9 +258,9 @@ func (w *Writer) Stage(at simnet.Time, addr region.GAddr, nvmOff int64, data []b
 //
 //gengar:hotpath
 func (w *Writer) StageMulti(at simnet.Time, reqs []StageReq) (simnet.Time, error) {
-	// stageMu is held from the first credit to the last enqueue. One
-	// stager collects credits at a time, so two chains can never each
-	// hold half a ring and wait for the other's half.
+	// stageMu is held from the first slot taken to the last enqueue. One
+	// stager takes slots at a time, so two chains can never each hold
+	// half a ring and wait for the other's half.
 	w.stageMu.Lock()
 	defer w.stageMu.Unlock()
 	maxPayload := w.ring.MaxPayload()
@@ -280,8 +275,9 @@ func (w *Writer) StageMulti(at simnet.Time, reqs []StageReq) (simnet.Time, error
 		}
 	}
 	end := at
-	// A chain longer than the ring could never be fully credited; each
-	// ring-sized run is credited, posted and enqueued before the next.
+	// A chain longer than the ring could never get all its slots; each
+	// ring-sized run takes its slots, is posted and enqueued before the
+	// next.
 	for rest := w.pieces; len(rest) > 0; {
 		n := min(len(rest), w.ring.Slots)
 		var err error
@@ -298,18 +294,19 @@ func (w *Writer) StageMulti(at simnet.Time, reqs []StageReq) (simnet.Time, error
 //
 //gengar:hotpath
 func (w *Writer) stageChain(at simnet.Time, reqs []StageReq) (simnet.Time, error) {
+	// Take one ring slot per record, the whole chain's in one step;
+	// blocks while the flusher is behind.
 	w.pendMu.Lock()
-	closed := w.closed
-	w.pendMu.Unlock()
-	if closed {
+	if w.closed {
+		w.pendMu.Unlock()
 		return at, ErrEngineClosed
 	}
-
-	// Take one ring slot per record; blocks when the flusher is behind.
-	for range reqs {
-		<-w.credits
+	for w.free < len(reqs) {
+		w.slotFreed.Wait()
 	}
-	w.occHW.SetMax(int64(w.ring.Slots - len(w.credits)))
+	w.free -= len(reqs)
+	w.occHW.SetMax(int64(w.ring.Slots - w.free))
+	w.pendMu.Unlock()
 
 	seq0 := w.nextSeq
 	w.nextSeq += uint64(len(reqs))
@@ -352,9 +349,7 @@ func (w *Writer) stageChain(at simnet.Time, reqs []StageReq) (simnet.Time, error
 		putBuf(sb)
 	}
 	if err != nil {
-		for range reqs {
-			w.credits <- struct{}{}
-		}
+		w.returnSlots(len(reqs))
 		return at, fmt.Errorf("proxy: stage: %w", err)
 	}
 
@@ -373,28 +368,24 @@ func (w *Writer) stageChain(at simnet.Time, reqs []StageReq) (simnet.Time, error
 	w.pendMu.Unlock()
 
 	// Enqueue in sequence order, still under stageMu: slot-reuse safety
-	// rests on credits returning in FIFO order. The whole chain completes
+	// rests on slots returning in FIFO order. The whole chain completes
 	// at the final WQE's ack — the single signaled work request.
 	for i, r := range reqs {
 		seq := seq0 + uint64(i)
 		rec := record{
-			ringID:   w.ring.ID,
+			w:        w,
 			seq:      seq,
 			addr:     r.Addr,
 			nvmOff:   r.NvmOff,
 			ringOff:  w.ring.DevBase + w.slotOff(seq) + slotHeaderBytes,
 			size:     len(r.Data),
 			stagedAt: stagedAt,
-			acks:     w.ackCh,
-			slotFree: w.credits,
 		}
 		if err := w.engine.enqueue(rec); err != nil {
-			// Records before i are in flight and will ack normally; undo
-			// the tail that will never flush.
+			// Records before i are in flight and will be applied normally;
+			// undo the tail that will never flush.
 			w.dropPendingFrom(seq)
-			for range reqs[i:] {
-				w.credits <- struct{}{}
-			}
+			w.returnSlots(len(reqs) - i)
 			return at, err
 		}
 	}
@@ -482,10 +473,11 @@ func (w *Writer) OccupancyHighWater() int64 { return w.occHW.Load() }
 // transports deciding whether a stage would park behind the flusher.
 // The answer can be stale by the time a Stage runs; callers use it to
 // choose a dispatch mode, not as a capacity guarantee.
-func (w *Writer) FreeSlots() int { return len(w.credits) }
-
-// RingSlots returns the staging ring's slot count.
-func (w *Writer) RingSlots() int { return w.ring.Slots }
+func (w *Writer) FreeSlots() int {
+	w.pendMu.Lock()
+	defer w.pendMu.Unlock()
+	return w.free
+}
 
 // Ring returns the writer's ring descriptor.
 func (w *Writer) Ring() Ring { return w.ring }
@@ -502,21 +494,15 @@ func (w *Writer) Drain() simnet.Time {
 	return w.lastApplied
 }
 
-// Close drains outstanding writes and stops the writer. Further Stage
-// calls fail with ErrEngineClosed.
+// Close stops the writer — further Stage calls fail with
+// ErrEngineClosed — and waits out the writes already staged.
 func (w *Writer) Close() {
 	w.pendMu.Lock()
-	if w.closed {
-		w.pendMu.Unlock()
-		return
-	}
 	w.closed = true
 	for len(w.pending) > 0 {
 		w.cond.Wait()
 	}
 	w.pendMu.Unlock()
-	close(w.quit)
-	w.wg.Wait()
 }
 
 func max64(a, b int64) int64 {

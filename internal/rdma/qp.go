@@ -7,26 +7,16 @@ import (
 	"gengar/internal/simnet"
 )
 
-// sendQueueDepth bounds the number of in-flight two-sided messages on a
-// queue pair; Send blocks (backpressure) when the peer has this many
-// undelivered messages, mirroring RNR flow control.
-const sendQueueDepth = 128
-
 // headerBytes approximates the on-wire size of a request that carries no
 // payload (one-sided READ request, ACK, atomic request).
 const headerBytes = 32
 
-// message is one two-sided delivery: a private copy of the payload plus
-// its simulated arrival instant at the receiver NIC.
-type message struct {
-	data    []byte
-	arrival simnet.Time
-}
-
 // QP is a reliable-connected queue pair. One-sided operations (Read,
 // Write, CompareAndSwap, FetchAdd) execute against the peer's registered
-// memory without involving the peer's CPU. Two-sided Send/Recv exchange
-// messages and do require the peer to call Recv.
+// memory without involving the peer's CPU. A two-sided Send is charged
+// its flight and nothing else: handing the bytes to whoever services the
+// message, and charging that service's CPU, is the caller's business
+// (internal/rpc is the one caller).
 //
 // A QP is safe for concurrent use, but concurrent operations may complete
 // in any order (applications that need ordering use one QP per actor, as
@@ -41,7 +31,6 @@ type QP struct {
 
 	mu     sync.Mutex
 	peer   *QP
-	inbox  chan message
 	closed bool
 }
 
@@ -50,7 +39,6 @@ func (n *Node) NewQP() *QP {
 	return &QP{
 		node:    n,
 		initRes: simnet.NewResource(n.id + "/qp-sq"),
-		inbox:   make(chan message, sendQueueDepth),
 	}
 }
 
@@ -84,16 +72,12 @@ func (qp *QP) Connect(peer *QP) error {
 	return nil
 }
 
-// Close tears the QP down; blocked Recv calls return ErrQPClosed.
-// Closing is idempotent.
+// Close tears the QP down: operations on it, and Sends to it, fail with
+// ErrQPClosed. Closing is idempotent.
 func (qp *QP) Close() {
 	qp.mu.Lock()
-	defer qp.mu.Unlock()
-	if qp.closed {
-		return
-	}
 	qp.closed = true
-	close(qp.inbox)
+	qp.mu.Unlock()
 }
 
 // Node returns the local node the QP is attached to.
@@ -255,54 +239,19 @@ func (qp *QP) FetchAdd(at simnet.Time, raddr RemoteAddr, delta uint64) (prev uin
 	return prev, respEnd, nil
 }
 
-// Send transmits payload as a two-sided message. It returns when the
-// message is accepted into the peer's receive queue (blocking in wall
-// time if the peer's queue is full) with the local send-completion
-// instant. The payload is copied; the caller may reuse it immediately.
-func (qp *QP) Send(at simnet.Time, payload []byte) (end simnet.Time, err error) {
+// Send charges the flight of a two-sided message of size payload bytes
+// to the peer and returns its arrival instant at the peer's NIC. Nothing
+// is delivered: the caller hands the bytes over itself.
+func (qp *QP) Send(at simnet.Time, size int) (arrival simnet.Time, err error) {
 	qp.node.fabric.verbSends.Inc()
 	peer, err := qp.remote()
 	if err != nil {
 		return at, err
 	}
-	landed := qp.transferInit(peer.node, at, headerBytes+len(payload))
-	data := make([]byte, len(payload))
-	copy(data, payload)
-
-	defer func() {
-		// Sending on a closed inbox panics; convert to ErrQPClosed so a
-		// racing Close is an error, not a crash.
-		if recover() != nil {
-			end, err = at, ErrQPClosed
-		}
-	}()
-	peer.inbox <- message{data: data, arrival: landed}
-	qp.node.fabric.clock.Observe(landed)
-	// Send completion at the initiator: tx done + ack.
-	return landed.Add(qp.node.fabric.model.Propagation), nil
-}
-
-// Recv blocks until a message arrives on this QP and returns its payload
-// and simulated arrival instant. It returns ErrQPClosed once the QP is
-// closed and drained.
-func (qp *QP) Recv() ([]byte, simnet.Time, error) {
-	m, ok := <-qp.inbox
-	if !ok {
-		return nil, 0, ErrQPClosed
+	if _, err := peer.remote(); err != nil {
+		return at, err // the receiving end is closed
 	}
-	return m.data, m.arrival, nil
-}
-
-// TryRecv is a non-blocking Recv; ok reports whether a message was
-// available.
-func (qp *QP) TryRecv() (payload []byte, at simnet.Time, ok bool, err error) {
-	select {
-	case m, open := <-qp.inbox:
-		if !open {
-			return nil, 0, false, ErrQPClosed
-		}
-		return m.data, m.arrival, true, nil
-	default:
-		return nil, 0, false, nil
-	}
+	arrival = qp.transferInit(peer.node, at, headerBytes+size)
+	qp.node.fabric.clock.Observe(arrival)
+	return arrival, nil
 }

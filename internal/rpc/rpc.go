@@ -21,18 +21,18 @@ const DefaultCPUPerRequest = 1500 * time.Nanosecond
 // time). Returning an error sends a RemoteError to the client.
 type Handler func(at simnet.Time, req *Reader) (resp []byte, done simnet.Time, err error)
 
-// Server dispatches RPCs arriving on any number of queue pairs to
-// registered handlers. Handlers for all kinds must be registered before
-// the first Serve call.
+// Server is the control-plane endpoint of one node: a table of handlers
+// and the CPU their requests serialize on. Nothing runs in it — a
+// Client's Call executes the handler on the calling goroutine — so it
+// may serve any number of clients and concurrent calls; handlers must be
+// safe for that.
 type Server struct {
 	cpu       *simnet.Resource
 	cpuPerReq time.Duration
 
 	mu       sync.Mutex
 	handlers map[Kind]Handler
-	conns    []*rdma.QP
 	closed   bool
-	wg       sync.WaitGroup
 }
 
 // NewServer returns a server whose request processing serializes on the
@@ -56,201 +56,86 @@ func (s *Server) Handle(kind Kind, h Handler) {
 	s.handlers[kind] = h
 }
 
-// Serve starts servicing requests arriving on qp in a background
-// goroutine that exits when the QP or the server is closed.
-func (s *Server) Serve(qp *rdma.QP) error {
+// handler returns the handler for kind (nil if none), or ErrClosed.
+func (s *Server) handler(kind Kind) (Handler, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	s.conns = append(s.conns, qp)
-	s.wg.Add(1)
-	s.mu.Unlock()
-
-	go func() {
-		defer s.wg.Done()
-		s.serveLoop(qp)
-	}()
-	return nil
+	return s.handlers[kind], nil
 }
 
-func (s *Server) serveLoop(qp *rdma.QP) {
-	for {
-		msg, arrival, err := qp.Recv()
-		if err != nil {
-			return // QP closed
-		}
-		id, kind, payload, err := decodeRequest(msg)
-		if err != nil {
-			continue // drop garbage; nothing to reply to
-		}
-		s.mu.Lock()
-		h := s.handlers[kind]
-		s.mu.Unlock()
-
-		_, cpuDone := s.cpu.Acquire(arrival, s.cpuPerReq)
-
-		var respMsg []byte
-		var done simnet.Time
-		if h == nil {
-			respMsg = encodeResponse(id, statusError, []byte(fmt.Sprintf("no handler for kind %d", kind)))
-			done = cpuDone
-		} else {
-			resp, hDone, herr := h(cpuDone, NewReader(payload))
-			done = simnet.MaxTime(cpuDone, hDone)
-			if herr != nil {
-				respMsg = encodeResponse(id, statusError, []byte(herr.Error()))
-			} else {
-				respMsg = encodeResponse(id, statusOK, resp)
-			}
-		}
-		if _, err := qp.Send(done, respMsg); err != nil {
-			return
-		}
-	}
-}
-
-// Close stops the server: all connection QPs are closed and serving
-// goroutines are joined.
+// Close stops the server: calls that have not started fail with
+// ErrClosed. It is idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	s.closed = true
-	conns := s.conns
 	s.mu.Unlock()
-	for _, qp := range conns {
-		qp.Close()
-	}
-	s.wg.Wait()
 }
 
-// Client issues RPCs over one queue pair, multiplexing concurrent calls
-// by request ID. Construct with NewClient; close with Close.
+// Client issues RPCs to one server over a connected queue pair. It is
+// safe for concurrent use. Construct with Dial; close with Close.
 type Client struct {
-	qp *rdma.QP
-
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]chan response
-	closed  bool
-	done    chan struct{}
+	qp  *rdma.QP // client end: carries requests
+	sqp *rdma.QP // server end: carries responses
+	srv *Server
 }
 
-type response struct {
-	payload []byte
-	at      simnet.Time
-	err     error
-}
-
-// NewClient wraps a connected queue pair and starts the demultiplexing
-// goroutine.
-func NewClient(qp *rdma.QP) *Client {
-	c := &Client{
-		qp:      qp,
-		pending: make(map[uint64]chan response),
-		done:    make(chan struct{}),
-	}
-	go c.demux()
-	return c
-}
-
-func (c *Client) demux() {
-	defer close(c.done)
-	for {
-		msg, arrival, err := c.qp.Recv()
-		if err != nil {
-			c.failAll(err)
-			return
-		}
-		id, status, payload, err := decodeResponse(msg)
-		if err != nil {
-			continue
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[id]
-		delete(c.pending, id)
-		c.mu.Unlock()
-		if !ok {
-			continue // response to a forgotten call
-		}
-		if status == statusOK {
-			ch <- response{payload: payload, at: arrival}
-		} else {
-			ch <- response{at: arrival, err: &RemoteError{Msg: string(payload)}}
-		}
-	}
-}
-
-func (c *Client) failAll(err error) {
-	c.mu.Lock()
-	c.closed = true
-	failed := make([]chan response, 0, len(c.pending))
-	for id, ch := range c.pending {
-		delete(c.pending, id)
-		failed = append(failed, ch)
-	}
-	c.mu.Unlock()
-	// Deliver failures outside c.mu: the channels are buffered today, but
-	// waking callers must never depend on that while the demux lock is held.
-	for _, ch := range failed {
-		ch <- response{err: fmt.Errorf("rpc: connection lost: %w", err)}
-	}
-}
-
-// Call issues a request of the given kind at simulated time at and blocks
-// until the response arrives. It returns the response payload reader and
-// the simulated completion instant at the client.
+// Call issues a request of the given kind at simulated time at and
+// returns the response payload reader and the simulated completion
+// instant at the client. The exchange is charged where the hardware
+// would spend it — the request's flight on the client's queue pair, the
+// server's CPU share from its arrival, the handler's own device time,
+// the response's flight on the server's queue pair — and the handler
+// itself runs here, on the caller's goroutine, reading req in place; the
+// caller reads the handler's response bytes in place likewise.
 func (c *Client) Call(at simnet.Time, kind Kind, req []byte) (*Reader, simnet.Time, error) {
-	ch := make(chan response, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, at, ErrClosed
+	h, err := c.srv.handler(kind)
+	if err != nil {
+		return nil, at, err
 	}
-	c.nextID++
-	id := c.nextID
-	c.pending[id] = ch
-	c.mu.Unlock()
+	arrival, err := c.qp.Send(at, headerLen+len(req))
+	if err != nil {
+		return nil, at, fmt.Errorf("%w: %v", ErrClosed, err)
+	}
+	_, done := c.srv.cpu.Acquire(arrival, c.srv.cpuPerReq)
 
-	if _, err := c.qp.Send(at, encodeRequest(id, kind, req)); err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return nil, at, fmt.Errorf("rpc: send: %w", err)
-	}
-	resp := <-ch
-	if resp.err != nil {
-		if re, ok := resp.err.(*RemoteError); ok {
-			re.Kind = kind
+	var resp []byte
+	var remote *RemoteError // an error reply carries its text as payload
+	if h == nil {
+		remote = &RemoteError{Kind: kind, Msg: fmt.Sprintf("no handler for kind %d", kind)}
+	} else {
+		r, hDone, herr := h(done, NewReader(req))
+		resp, done = r, simnet.MaxTime(done, hDone)
+		if herr != nil {
+			remote = &RemoteError{Kind: kind, Msg: herr.Error()}
 		}
-		return nil, resp.at, resp.err
 	}
-	return NewReader(resp.payload), resp.at, nil
+	size := len(resp)
+	if remote != nil {
+		size = len(remote.Msg)
+	}
+	end, err := c.sqp.Send(done, headerLen+size)
+	if err != nil {
+		return nil, at, fmt.Errorf("%w: %v", ErrClosed, err)
+	}
+	if remote != nil {
+		return nil, end, remote
+	}
+	return NewReader(resp), end, nil
 }
 
-// Close tears the client down; in-flight calls fail with ErrClosed-
-// wrapped errors.
-func (c *Client) Close() {
-	c.qp.Close()
-	<-c.done
-}
+// Close tears the client down; later calls fail with ErrClosed.
+func (c *Client) Close() { c.qp.Close() }
 
-// Dial creates a connected queue pair between the client node and the
-// server's node QP, registers it with the server, and returns a Client.
+// Dial connects a queue pair on the client node to one on the server's
+// node and returns a Client that calls srv over it.
 func Dial(clientNode *rdma.Node, serverNode *rdma.Node, srv *Server) (*Client, error) {
 	cq := clientNode.NewQP()
 	sq := serverNode.NewQP()
 	if err := cq.Connect(sq); err != nil {
 		return nil, fmt.Errorf("rpc: dial: %w", err)
 	}
-	if err := srv.Serve(sq); err != nil {
-		cq.Close()
-		sq.Close()
-		return nil, err
-	}
-	return NewClient(cq), nil
+	return &Client{qp: cq, sqp: sq, srv: srv}, nil
 }

@@ -208,13 +208,55 @@ func TestServerCloseStopsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, _, err := cl.Call(0, kindEcho, nil); err == nil {
-		t.Fatal("call succeeded after server close")
-	}
-	if err := srv.Serve(sn.NewQP()); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Serve after close: %v", err)
+	if _, _, err := cl.Call(0, kindEcho, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call after server close: %v", err)
 	}
 	srv.Close() // idempotent
+}
+
+// TestCallInstant pins the link model of one RPC to a hand-computed
+// value: the request's flight on the client's queue pair, the server's
+// CPU share, the handler's own time, the response's flight on the
+// server's queue pair — each message a 32-byte verb header, the 9-byte
+// RPC header and its payload. The handler runs on the caller's
+// goroutine, so nothing else can move these instants.
+func TestCallInstant(t *testing.T) {
+	f, cn, sn := testFabric(t)
+	m := f.Model()
+	const cpuCost, handlerTime = 2 * time.Microsecond, 7 * time.Microsecond
+	srv := NewServer(simnet.NewResource("cpu"), cpuCost)
+	resp := make([]byte, 40)
+	var handlerAt simnet.Time
+	srv.Handle(kindEcho, func(at simnet.Time, req *Reader) ([]byte, simnet.Time, error) {
+		handlerAt = at
+		return resp, at.Add(handlerTime), nil
+	})
+	defer srv.Close()
+	cl, err := Dial(cn, sn, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	flight := func(payload int) time.Duration {
+		wire := 32 + 9 + payload
+		return m.PerOp + m.SerializeTime(wire) + m.RespPerOp + m.Propagation + m.SerializeTime(wire)
+	}
+	const start = simnet.Time(1000)
+	req := make([]byte, 100)
+	_, end, err := cl.Call(start, kindEcho, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := start.Add(flight(len(req)) + cpuCost); handlerAt != want {
+		t.Fatalf("handler ran at %v, want %v", handlerAt, want)
+	}
+	if want := start.Add(flight(len(req)) + cpuCost + handlerTime + flight(len(resp))); end != want {
+		t.Fatalf("call completed at %v, want %v", end, want)
+	}
+	if n := f.VerbCounts().Sends; n != 2 {
+		t.Fatalf("Sends = %d, want one per message", n)
+	}
 }
 
 func TestCPUSerializesRequests(t *testing.T) {
@@ -278,15 +320,6 @@ func TestReaderTruncation(t *testing.T) {
 	// Error sticks; further reads are zero.
 	if r.U8() != 0 || r.Str() != "" || r.Blob() != nil {
 		t.Fatal("reads after error not zero-valued")
-	}
-}
-
-func TestDecodeRequestTruncated(t *testing.T) {
-	if _, _, _, err := decodeRequest([]byte{1}); !errors.Is(err, ErrTruncated) {
-		t.Fatal("short request accepted")
-	}
-	if _, _, _, err := decodeResponse(nil); !errors.Is(err, ErrTruncated) {
-		t.Fatal("nil response accepted")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package rpc implements the two-sided control-plane messaging Gengar
 // uses for everything that is not on the data path: bootstrap, gmalloc/
-// gfree, hotness digest reporting and remap-table refresh. It multiplexes
-// concurrent request/response exchanges over a single RDMA queue pair.
+// gfree, hotness digest reporting and remap-table refresh. A call is
+// one two-sided message each way over an RDMA queue pair.
 //
 // Control-plane operations involve the server CPU (unlike the one-sided
 // data path), so the server charges a per-request CPU cost on a shared
@@ -37,43 +37,10 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("rpc: remote error on kind %d: %s", e.Kind, e.Msg)
 }
 
-const (
-	statusOK    = 0
-	statusError = 1
-)
-
-// reqHeaderLen is id(8) + kind(1); respHeaderLen is id(8) + status(1).
-const reqHeaderLen = 9
-
-func encodeRequest(id uint64, kind Kind, payload []byte) []byte {
-	buf := make([]byte, reqHeaderLen+len(payload))
-	binary.BigEndian.PutUint64(buf, id)
-	buf[8] = byte(kind)
-	copy(buf[reqHeaderLen:], payload)
-	return buf
-}
-
-func decodeRequest(msg []byte) (id uint64, kind Kind, payload []byte, err error) {
-	if len(msg) < reqHeaderLen {
-		return 0, 0, nil, ErrTruncated
-	}
-	return binary.BigEndian.Uint64(msg), Kind(msg[8]), msg[reqHeaderLen:], nil
-}
-
-func encodeResponse(id uint64, status byte, payload []byte) []byte {
-	buf := make([]byte, reqHeaderLen+len(payload))
-	binary.BigEndian.PutUint64(buf, id)
-	buf[8] = status
-	copy(buf[reqHeaderLen:], payload)
-	return buf
-}
-
-func decodeResponse(msg []byte) (id uint64, status byte, payload []byte, err error) {
-	if len(msg) < reqHeaderLen {
-		return 0, 0, nil, ErrTruncated
-	}
-	return binary.BigEndian.Uint64(msg), msg[8], msg[reqHeaderLen:], nil
-}
+// headerLen is what a request or a response carries on the wire before
+// its payload: a 64-bit tag plus the kind or status byte. Only its size
+// matters to the simulation; Call charges it and moves no header bytes.
+const headerLen = 9
 
 // Writer appends binary fields to a request or response payload. Its
 // methods never fail; the zero value is ready to use.

@@ -25,7 +25,6 @@ import (
 	"gengar/internal/engine"
 	"gengar/internal/hmem"
 	"gengar/internal/hotness"
-	"gengar/internal/lock"
 	"gengar/internal/proxy"
 	"gengar/internal/rdma"
 	"gengar/internal/region"
@@ -157,15 +156,6 @@ func (s *Server) Engine() *proxy.Engine { return s.eng.Flusher() }
 
 // RPC returns the server's control-plane endpoint.
 func (s *Server) RPC() *rpc.Server { return s.rpcSrv }
-
-// NVMHandle returns the region handle of the NVM pool.
-func (s *Server) NVMHandle() rdma.RegionHandle { return s.nvmMR.Handle() }
-
-// LockGeometry returns the lock table description for clients.
-func (s *Server) LockGeometry() lock.Geometry {
-	tbl := s.eng.LockTable()
-	return lock.Geometry{Handle: s.lockMR.Handle(), Base: tbl.Base(), Slots: tbl.Slots()}
-}
 
 // RemapSnapshot exposes the current remap table (epoch + entries).
 func (s *Server) RemapSnapshot() (uint64, map[region.GAddr]cache.Location) {

@@ -148,7 +148,7 @@ func dialServer(addr string, cfg *PoolConfig, frames *framePool) (*serverConn, e
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: dial %s: %w", addr, err)
 	}
-	tuneConn(nc, defaultKeepAlive)
+	tuneConn(nc)
 	sc := &serverConn{
 		addr:    addr,
 		c:       nc,

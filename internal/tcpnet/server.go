@@ -52,9 +52,6 @@ type ServerConfig struct {
 	DefaultLease time.Duration
 	// AcquireTimeout bounds how long a lock request waits; 0 selects 2s.
 	AcquireTimeout time.Duration
-	// KeepAlive is the TCP keep-alive probe period on accepted
-	// connections; 0 selects 30s, negative disables probing.
-	KeepAlive time.Duration
 	// TraceSample opens a server-initiated span on one in every N
 	// requests that did not already carry a client trace ID; 0
 	// disables local sampling. Client-sampled requests are always
@@ -89,9 +86,6 @@ func (c *ServerConfig) fill() error {
 	}
 	if c.AcquireTimeout == 0 {
 		c.AcquireTimeout = 2 * time.Second
-	}
-	if c.KeepAlive == 0 {
-		c.KeepAlive = defaultKeepAlive
 	}
 	return nil
 }
@@ -467,7 +461,7 @@ func (sess *session) observe(addr region.GAddr, write bool) {
 // connection; the read loop then unwinds and tears down the session —
 // the daemon never keeps consuming requests whose replies go nowhere.
 func (s *PoolServer) serveConn(conn net.Conn) {
-	tuneConn(conn, s.cfg.KeepAlive)
+	tuneConn(conn)
 	sess := s.openSession()
 	q := newFrameQueue(conn, &s.frames)
 	q.framesPerFlush = s.framesPerFlush

@@ -206,7 +206,18 @@ func TestLockedCounterAcrossClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The initial value is published the way every later one is, under
+	// the lock: a write is acknowledged once staged, and only the release
+	// drains it. Left unpublished, the zeros sit in the setup session's
+	// ring — another flush worker's queue, unordered against the clients'
+	// rings — and can land on top of increments made meanwhile.
+	if err := setup.LockExclusive(counter); err != nil {
+		t.Fatal(err)
+	}
 	if err := setup.Write(counter, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := setup.UnlockExclusive(counter); err != nil {
 		t.Fatal(err)
 	}
 

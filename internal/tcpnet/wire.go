@@ -600,27 +600,22 @@ func (q *frameQueue) close() {
 // ---------------------------------------------------------------------
 // Connection tuning.
 
-// defaultKeepAlive is the keep-alive probe period on every dialed
-// connection, and on accepted ones unless ServerConfig.KeepAlive says
-// otherwise.
+// defaultKeepAlive is the keep-alive probe period on every connection,
+// dialed or accepted.
 const defaultKeepAlive = 30 * time.Second
 
 // tuneConn applies the transport settings to a TCP connection: explicit
 // TCP_NODELAY (the wire layer does its own coalescing in the frame
 // queue, so Nagle's delayed small writes would only add latency) and
 // keep-alive probes so half-dead peers are detected even when the
-// protocol is idle. keepAlive <= 0 disables probing. Non-TCP
-// connections (in-process pipes in tests) pass through untouched.
-func tuneConn(conn net.Conn, keepAlive time.Duration) {
+// protocol is idle. Non-TCP connections (in-process pipes in tests)
+// pass through untouched.
+func tuneConn(conn net.Conn) {
 	tc, ok := conn.(*net.TCPConn)
 	if !ok {
 		return
 	}
 	_ = tc.SetNoDelay(true)
-	if keepAlive > 0 {
-		_ = tc.SetKeepAlive(true)
-		_ = tc.SetKeepAlivePeriod(keepAlive)
-	} else {
-		_ = tc.SetKeepAlive(false)
-	}
+	_ = tc.SetKeepAlive(true)
+	_ = tc.SetKeepAlivePeriod(defaultKeepAlive)
 }
