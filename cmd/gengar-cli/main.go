@@ -13,7 +13,7 @@
 //	write <gaddr> <text>       store text at an address
 //	read <gaddr> <bytes>       fetch bytes; prints them as text
 //	demo                       end-to-end smoke: malloc/write/read/lock/free
-//	hot <gaddr> [reads]        report access weight and wait for promotion
+//	hot <gaddr> [reads]        read an address repeatedly and wait for promotion
 //	bench [ops] [bytes]        closed-loop write+read latency microbench
 //
 // Global addresses print and parse as server:offset, e.g. 1:0x40.
@@ -27,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"gengar/internal/hotness"
 	"gengar/internal/region"
 	"gengar/internal/tcpnet"
 )
@@ -178,16 +177,17 @@ func stats(pool *tcpnet.Pool) error {
 	return nil
 }
 
-// hot reports synthetic access weight for an address so its home daemon
-// considers promoting the object, then polls until a read is served from
-// the DRAM cache (or the deadline passes).
+// hot reads addr `reads` times so its home daemon, which observes every
+// access it serves, considers promoting the object, then polls until a
+// read is served from the DRAM cache (or the deadline passes).
 func hot(pool *tcpnet.Pool, addr region.GAddr, reads uint64) error {
-	epochs, err := pool.Digest([]hotness.Entry{{Addr: addr, Reads: reads}})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("digested %d reads for %s (remap epoch %d)\n", reads, formatAddr(addr), epochs[addr.Server()])
 	buf := make([]byte, 1)
+	for i := uint64(0); i < reads; i++ {
+		if _, err := pool.ReadCheck(addr, buf); err != nil {
+			return err
+		}
+	}
+	fmt.Printf("read %s %d times\n", formatAddr(addr), reads)
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
 		hit, err := pool.ReadCheck(addr, buf)

@@ -159,7 +159,8 @@ func splitPeers(s string) []string {
 }
 
 // logFinalStats summarizes the daemon's lifetime activity from its
-// telemetry snapshot as it exits.
+// telemetry snapshot as it exits; the engine's figures are read under
+// the gengar_server_* / gengar_proxy_* names it registers there.
 func logFinalStats(srv *tcpnet.PoolServer, uptime time.Duration) {
 	s := srv.Telemetry().Snapshot()
 	log.Printf("gengard: final stats: uptime=%s ops=%d rx_bytes=%d tx_bytes=%d failures=%d objects=%d pool_used=%d",
@@ -168,14 +169,24 @@ func logFinalStats(srv *tcpnet.PoolServer, uptime time.Duration) {
 		s.Sum("gengar_tcp_rx_bytes_total"),
 		s.Sum("gengar_tcp_tx_bytes_total"),
 		s.Sum("gengar_tcp_failures_total"),
-		s.Sum("gengar_tcp_objects"),
-		s.Sum("gengar_tcp_pool_used_bytes"))
-	es := srv.Engine().Stats()
+		s.Sum("gengar_server_objects"),
+		s.Sum("gengar_server_pool_used_bytes"))
 	log.Printf("gengard: engine stats: cache_hits=%d peer_hits=%d cache_misses=%d staged=%d flushed=%d promotions=%d demotions=%d promoted=%d digests=%d remap_epoch=%d",
-		es.Hits, es.PeerHits, es.Misses, es.Proxy.Staged, es.Proxy.Flushed,
-		es.Promotions, es.Demotions, es.Promoted, es.Digests, es.RemapEpoch)
-	if es.PeerErrors+es.HostedReads > 0 || es.HostedCopies > 0 {
+		s.Sum("gengar_server_cache_hits_total"),
+		s.Sum("gengar_server_peer_hits_total"),
+		s.Sum("gengar_server_cache_misses_total"),
+		s.Sum("gengar_proxy_staged_total"),
+		s.Sum("gengar_proxy_flushed_total"),
+		s.Sum("gengar_server_promotions_total"),
+		s.Sum("gengar_server_demotions_total"),
+		s.Sum("gengar_server_promoted_objects"),
+		s.Sum("gengar_server_digests_total"),
+		s.Sum("gengar_server_remap_epoch"))
+	copies := s.Sum("gengar_server_hosted_copies")
+	reads := s.Sum("gengar_server_hosted_reads_total")
+	errs := s.Sum("gengar_server_peer_copy_errors_total")
+	if copies+reads+errs > 0 {
 		log.Printf("gengard: peer cache stats: hosted_copies=%d hosted_bytes=%d hosted_reads=%d peer_errors=%d",
-			es.HostedCopies, es.HostedBytes, es.HostedReads, es.PeerErrors)
+			copies, s.Sum("gengar_server_hosted_bytes"), reads, errs)
 	}
 }

@@ -43,7 +43,7 @@ var raceExcludeAllowlist = map[string]raceSibling{
 	},
 	"internal/hotness/alloc_test.go": {
 		file:    "internal/hotness/hotness_test.go",
-		symbols: []string{"Add", "Rebalance"},
+		symbols: []string{"Observe", "Add", "Rebalance"},
 	},
 	"internal/proxy/flush_alloc_test.go": {
 		file:    "internal/proxy/coalesce_test.go",

@@ -54,6 +54,10 @@ type Location struct {
 	HomeMR uint32 // rkey of the object's home NVM pool (for write-back)
 }
 
+// LocationMinBytes is the least an encoded Location occupies on the
+// wire: Encode with an empty node name.
+const LocationMinBytes = 2 + 4 + 8 + 8 + 8 + 4
+
 // Encode appends the location to a wire payload.
 func (l Location) Encode(w *rpc.Writer) {
 	w.Str(l.Node).U32(l.RKey).I64(l.Off).I64(l.Size).U64(l.Gen).U32(l.HomeMR)

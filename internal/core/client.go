@@ -53,10 +53,9 @@ type serverConn struct {
 	writer   *proxy.Writer
 	view     *cache.ClientView
 	nvm      rdma.RegionHandle
-	rec      *hotness.Recorder
+	hot      *hotness.Staging // this home's accesses, staged for its digests
 	ringBase int64
 
-	accesses int // data-path accesses since the last digest
 	// chain is this home's share of the write chain being posted —
 	// scratch reused across ops under Client.mu (see writeChain).
 	chain []proxy.StageReq
@@ -69,7 +68,6 @@ type Client struct {
 	cluster *server.Cluster
 	node    *rdma.Node
 	opts    config.Features
-	hot     config.Hotness
 	poolNVM bool // pool media needs a persistence fence on direct writes
 
 	//gengar:lint-ignore lock-across-blocking a Client models one application thread: c.mu serializes its operations by design, and the calls it spans advance the client's private simulated clock rather than contending in wall time
@@ -120,7 +118,6 @@ func Connect(c *server.Cluster, name string) (*Client, error) {
 		cluster: c,
 		node:    node,
 		opts:    cfg.Features,
-		hot:     cfg.Hotness,
 		poolNVM: cfg.PoolMedia.Kind == hmem.KindNVM,
 		tracer:  c.Tracer(),
 		conns:   make(map[uint16]*serverConn),
@@ -217,7 +214,7 @@ func (c *Client) openSession(s *server.Server) (*serverConn, error) {
 		writer:   writer,
 		view:     cache.NewClientView(),
 		nvm:      rdma.RegionHandle{Node: s.Node().ID(), RKey: nvmRKey},
-		rec:      hotness.NewRecorder(),
+		hot:      hotness.NewStaging(s.Core().Config().Hotness.DigestEvery),
 		ringBase: ringBase,
 	}
 

@@ -384,6 +384,40 @@ func TestDirectModeRoundtrip(t *testing.T) {
 	}
 }
 
+// TestCacheOffSendsNoDigest: with the cache off no server plans, so a
+// client stages nothing and sends no digest — not every DigestEvery
+// accesses, and not at SyncView or SyncAllViews either.
+func TestCacheOffSendsNoDigest(t *testing.T) {
+	cfg := testConfig()
+	cfg.Features = config.Features{Proxy: true}
+	c := newTestCluster(t, cfg)
+	cl := connect(t, c, "u1")
+	addr, err := cl.Malloc(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 256)
+	for i := 0; i < 4*cfg.Hotness.DigestEvery; i++ {
+		if err := cl.Write(addr, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Read(addr, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.SyncView(addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SyncAllViews(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range c.Registry().Servers() {
+		if d := s.Stats().Digests; d != 0 {
+			t.Errorf("server %d: %d digests from a cache-off client", s.ID(), d)
+		}
+	}
+}
+
 func TestNoProxyCacheStaysCoherent(t *testing.T) {
 	// Ablation: cache on, proxy off. Direct writes must refresh promoted
 	// copies via the write-through RPC.

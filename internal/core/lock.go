@@ -155,8 +155,7 @@ func (c *Client) ReadOptimistic(addr region.GAddr, buf []byte) error {
 		c.now = end
 		if v1 == v2 {
 			c.reads.Inc()
-			conn.rec.RecordRead(addr)
-			c.afterAccess(conn)
+			c.observe(conn, addr, false)
 			return nil
 		}
 	}

@@ -160,8 +160,7 @@ func (c *Client) ReadMulti(addrs []region.GAddr, bufs [][]byte) error {
 			s.conns[i].writer.ApplyPending(addr, bufs[i])
 		}
 		c.reads.Inc()
-		s.conns[i].rec.RecordRead(addr)
-		c.afterAccess(s.conns[i])
+		c.observe(s.conns[i], addr, false)
 	}
 	c.readLat.Record(simnet.Duration(end - start))
 	return nil

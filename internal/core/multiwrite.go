@@ -67,8 +67,7 @@ func (c *Client) writeChain(sp *span.Span, addrs []region.GAddr, bufs [][]byte) 
 	for _, conn := range c.homes {
 		for _, r := range conn.chain {
 			c.writes.Inc()
-			conn.rec.RecordWrite(r.Addr)
-			c.afterAccess(conn)
+			c.observe(conn, r.Addr, true)
 		}
 	}
 	return nil

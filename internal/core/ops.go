@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"gengar/internal/cache"
+	"gengar/internal/hotness"
 	"gengar/internal/rdma"
 	"gengar/internal/region"
 	"gengar/internal/rpc"
@@ -112,8 +113,7 @@ func (c *Client) Read(addr region.GAddr, buf []byte) error {
 	c.now = end
 	c.reads.Inc()
 	c.readLat.Record(end.Sub(start))
-	conn.rec.RecordRead(addr)
-	c.afterAccess(conn)
+	c.observe(conn, addr, false)
 	return nil
 }
 
@@ -195,32 +195,27 @@ func (c *Client) Write(addr region.GAddr, data []byte) error {
 	return c.writeChain(sp, addrs[:], bufs[:])
 }
 
-// afterAccess counts data-path traffic and, every DigestEvery accesses
-// to a home server, ships the hotness digest there. The exchange is off
-// the client's critical path in *simulated* time — it does not advance
-// the client clock, modeling the paper's amortized digest reporting —
-// but its network and server-CPU costs are still charged at the current
-// instant, so heavy digest traffic shows up as fabric contention.
-// Baselines without the cache feature report nothing. Called with c.mu
+// observe stages one data-path access to conn's home and, every
+// DigestEvery of them, ships the hotness digest there. The exchange is
+// off the client's critical path in *simulated* time — it does not
+// advance the client clock, modeling the paper's amortized digest
+// reporting — but its network and server-CPU costs are still charged at
+// the current instant, so heavy digest traffic shows up as fabric
+// contention. Nothing is staged while the cache is off. Called with c.mu
 // held.
-func (c *Client) afterAccess(conn *serverConn) {
+func (c *Client) observe(conn *serverConn, addr region.GAddr, write bool) {
 	if !c.opts.Cache {
 		return
 	}
-	conn.accesses++
-	if conn.accesses < c.hot.DigestEvery {
-		return
-	}
-
-	conn.accesses = 0
-	c.digestExchange(conn, c.now)
+	conn.hot.Observe(addr, write, func(entries []hotness.Entry) {
+		c.digestExchange(conn, c.now, entries)
+	})
 }
 
 // digestExchange sends one digest and refreshes the remap view if the
 // server's epoch moved. It must not touch c.now: in simulated time it is
 // off the client's critical path.
-func (c *Client) digestExchange(conn *serverConn, at simnet.Time) {
-	entries := conn.rec.Drain()
+func (c *Client) digestExchange(conn *serverConn, at simnet.Time, entries []hotness.Entry) {
 	var w rpc.Writer
 	w.U32(uint32(len(entries)))
 	for _, e := range entries {
@@ -245,7 +240,10 @@ func (c *Client) refreshView(conn *serverConn, at simnet.Time) {
 		return
 	}
 	epoch := resp.U64()
-	n := int(resp.U32())
+	n, err := resp.Count(8 + cache.LocationMinBytes) // base u64 + location
+	if err != nil {
+		return
+	}
 	entries := make(map[region.GAddr]cache.Location, n)
 	for i := 0; i < n; i++ {
 		base := region.GAddr(resp.U64())
@@ -256,6 +254,20 @@ func (c *Client) refreshView(conn *serverConn, at simnet.Time) {
 		entries[base] = loc
 	}
 	conn.view.Replace(epoch, entries)
+}
+
+// syncView flushes whatever conn has staged as one digest and refreshes
+// the remap view. With nothing staged it still sends the (empty) digest:
+// its reply is how the client learns the home's epoch. Nothing is sent
+// while the cache is off.
+func (c *Client) syncView(conn *serverConn, at simnet.Time) {
+	if !c.opts.Cache {
+		return
+	}
+	send := func(entries []hotness.Entry) { c.digestExchange(conn, at, entries) }
+	if !conn.hot.Flush(send) {
+		send(nil)
+	}
 }
 
 // Flush blocks until every proxied write this client has staged is
@@ -291,13 +303,12 @@ func (c *Client) SyncAllViews() error {
 	}
 	conns := make([]*serverConn, 0, len(c.conns))
 	for _, conn := range c.conns {
-		conn.accesses = 0
 		conns = append(conns, conn)
 	}
 	at := c.now
 	c.mu.Unlock()
 	for _, conn := range conns {
-		c.digestExchange(conn, at)
+		c.syncView(conn, at)
 	}
 	return nil
 }
@@ -316,9 +327,8 @@ func (c *Client) SyncView(addr region.GAddr) error {
 		c.mu.Unlock()
 		return err
 	}
-	conn.accesses = 0
 	at := c.now
 	c.mu.Unlock()
-	c.digestExchange(conn, at)
+	c.syncView(conn, at)
 	return nil
 }

@@ -1,8 +1,8 @@
 //go:build !race
 
-// Allocation gates for the sketch and the planner. The race detector
-// instruments allocations, so these run only in normal builds; the same
-// calls run under -race in hotness_test.go.
+// Allocation gates for staging, the sketch and the planner. The race
+// detector instruments allocations, so these run only in normal builds;
+// the same calls run under -race in hotness_test.go.
 
 package hotness
 
@@ -11,6 +11,29 @@ import (
 
 	"gengar/internal/region"
 )
+
+// TestObserveAllocs pins staging an access at zero allocations, the
+// digests it triggers included, once the buffers and the fold scratch
+// have grown.
+func TestObserveAllocs(t *testing.T) {
+	s := NewStaging(64)
+	var digests int
+	send := func(e []Entry) { digests += len(e) }
+	i := int64(0)
+	observe := func() {
+		i++
+		s.Observe(ga((i%16)*64), i%3 == 0, send)
+	}
+	for j := 0; j < 64; j++ {
+		observe()
+	}
+	if avg := testing.AllocsPerRun(20*64, observe); avg != 0 {
+		t.Fatalf("Observe: %.2f allocs/op, want 0", avg)
+	}
+	if digests == 0 {
+		t.Fatal("no digest fired inside the measured loop")
+	}
+}
 
 // TestAddAllocs pins Add at zero allocations once the sketch is full,
 // across halvings: a counter that ages out is kept and handed to the

@@ -2,6 +2,7 @@ package hotness
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -11,60 +12,118 @@ import (
 
 func ga(off int64) region.GAddr { return region.MustGAddr(1, off) }
 
-func TestRecorderBasics(t *testing.T) {
-	r := NewRecorder()
-	r.RecordRead(ga(64))
-	r.RecordRead(ga(64))
-	r.RecordWrite(ga(64))
-	r.RecordWrite(ga(128))
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d", r.Len())
+// TestStaging pins the staging contract: a digest fires exactly at the
+// Nth observation, carries per-object read/write counts in first-seen
+// order, keeps observations made while it is in flight for the next
+// digest, and an empty flush sends nothing.
+func TestStaging(t *testing.T) {
+	a, b, c := ga(64), ga(128), ga(192)
+	type step struct {
+		obs    []Obs // observed in order
+		during []Obs // observed from inside the digest this step sends
+		flush  bool  // then flushed
+		want   [][]Entry
 	}
-	d := r.Drain()
-	if len(d) != 2 {
-		t.Fatalf("Drain len = %d", len(d))
-	}
-	// ga(64): 2 reads + 1 write => weight 5; ga(128): weight 1.
-	if d[0].Addr != ga(64) || d[0].Reads != 2 || d[0].Writes != 1 || d[0].Weight() != 5 {
-		t.Fatalf("first entry: %+v", d[0])
-	}
-	if d[1].Addr != ga(128) || d[1].Weight() != 1 {
-		t.Fatalf("second entry: %+v", d[1])
-	}
-	// Drain resets.
-	if r.Len() != 0 || len(r.Drain()) != 0 {
-		t.Fatal("Drain did not reset")
-	}
-}
-
-func TestRecorderDeterministicOrder(t *testing.T) {
-	r := NewRecorder()
-	// Equal weights sort by address.
-	r.RecordWrite(ga(300))
-	r.RecordWrite(ga(100))
-	r.RecordWrite(ga(200))
-	d := r.Drain()
-	if d[0].Addr != ga(100) || d[1].Addr != ga(200) || d[2].Addr != ga(300) {
-		t.Fatalf("tie-break order: %v %v %v", d[0].Addr, d[1].Addr, d[2].Addr)
-	}
-}
-
-func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				r.RecordRead(ga(64))
+	for _, tc := range []struct {
+		name  string
+		every int
+		steps []step
+	}{
+		{"fires exactly at N", 3, []step{
+			{obs: []Obs{{a, false}, {b, true}}},
+			{obs: []Obs{{a, true}}, want: [][]Entry{{{a, 1, 1}, {b, 0, 1}}}},
+			{obs: []Obs{{a, false}, {a, false}}},
+		}},
+		{"first-seen order, not weight or address", 4, []step{
+			{obs: []Obs{{c, true}, {a, false}, {b, false}, {a, false}},
+				want: [][]Entry{{{c, 0, 1}, {a, 2, 0}, {b, 1, 0}}}},
+		}},
+		{"observations during a digest wait for the next", 2, []step{
+			{obs: []Obs{{a, false}, {b, false}}, during: []Obs{{c, false}, {c, true}, {a, false}},
+				want: [][]Entry{{{a, 1, 0}, {b, 1, 0}}}},
+			{obs: []Obs{{b, false}}, want: [][]Entry{{{c, 1, 1}, {a, 1, 0}, {b, 1, 0}}}},
+		}},
+		{"flush sends what is staged, and nothing when empty", 8, []step{
+			{flush: true},
+			{obs: []Obs{{b, true}, {a, false}}, flush: true, want: [][]Entry{{{b, 0, 1}, {a, 1, 0}}}},
+			{flush: true},
+		}},
+	} {
+		s := NewStaging(tc.every)
+		for i, st := range tc.steps {
+			var got [][]Entry
+			send := func(e []Entry) {
+				got = append(got, append([]Entry(nil), e...))
+				for _, o := range st.during {
+					s.Observe(o.Addr, o.Write, func([]Entry) { t.Errorf("%s step %d: a second digest while one is in flight", tc.name, i) })
+				}
 			}
-		}()
+			for _, o := range st.obs {
+				s.Observe(o.Addr, o.Write, send)
+			}
+			if st.flush {
+				if sent := s.Flush(send); sent != (len(st.want) > 0) {
+					t.Errorf("%s step %d: Flush reported sent=%v", tc.name, i, sent)
+				}
+			}
+			if !reflect.DeepEqual(got, st.want) {
+				t.Errorf("%s step %d: digests %v, want %v", tc.name, i, got, st.want)
+			}
+		}
+	}
+}
+
+// TestStagingConcurrent races observers against the digests they
+// trigger: every observation lands in exactly one digest, and digests
+// never overlap (send's counters are plain ints, so an overlap is a data
+// race under -race).
+func TestStagingConcurrent(t *testing.T) {
+	const goroutines, each = 8, 1000
+	s := NewStaging(7)
+	var reads, writes, digests uint64
+	send := func(e []Entry) {
+		digests++
+		for _, ent := range e {
+			reads += ent.Reads
+			writes += ent.Writes
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				s.Observe(ga(int64(i%5)*64), g%2 == 0, send)
+			}
+		}(g)
 	}
 	wg.Wait()
-	d := r.Drain()
-	if len(d) != 1 || d[0].Reads != 4000 {
-		t.Fatalf("concurrent reads lost: %+v", d)
+	s.Flush(send)
+	if reads+writes != goroutines*each || writes != goroutines/2*each || len(s.buf) != 0 {
+		t.Fatalf("%d reads + %d writes in %d digests, %d left staged; want %d each",
+			reads, writes, digests, len(s.buf), goroutines/2*each)
+	}
+}
+
+// TestStagingBoundedChunk: a huge interval ("never digest") allocates a
+// fixed chunk up front, not the interval, and grows by append past it.
+func TestStagingBoundedChunk(t *testing.T) {
+	for _, c := range []struct{ every, wantCap int }{
+		{8, 8},
+		{1 << 30, maxStagingChunk},
+	} {
+		s := NewStaging(c.every)
+		if cap(s.buf) != c.wantCap || cap(s.spare) != c.wantCap {
+			t.Errorf("every=%d: capacities %d/%d, want %d", c.every, cap(s.buf), cap(s.spare), c.wantCap)
+		}
+	}
+	s := NewStaging(1 << 30)
+	for i := 0; i < 2*maxStagingChunk; i++ {
+		s.Observe(ga(64), false, func([]Entry) { t.Fatal("digest before the interval") })
+	}
+	if len(s.buf) != 2*maxStagingChunk {
+		t.Fatalf("staged %d, want %d", len(s.buf), 2*maxStagingChunk)
 	}
 }
 

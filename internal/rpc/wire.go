@@ -129,6 +129,21 @@ func (r *Reader) take(n int) []byte {
 	return b
 }
 
+// Count consumes a batch payload's leading u32 record count and rejects
+// one the rest of the payload cannot hold at recordBytes per record, so
+// a count that arrives over the wire never sizes an allocation beyond
+// the message that carried it.
+func (r *Reader) Count(recordBytes int) (int, error) {
+	n := r.U32()
+	if r.err != nil {
+		return 0, r.err
+	}
+	if fit := len(r.buf) / recordBytes; uint64(n) > uint64(fit) {
+		return 0, fmt.Errorf("rpc: batch count %d exceeds the %d records its payload can hold", n, fit)
+	}
+	return int(n), nil
+}
+
 // U8 consumes one byte.
 func (r *Reader) U8() uint8 {
 	b := r.take(1)

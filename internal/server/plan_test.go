@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 
@@ -173,6 +174,28 @@ func TestDigestIgnoresUnknownAddresses(t *testing.T) {
 	}
 	if _, snap := s.RemapSnapshot(); len(snap) != 0 {
 		t.Fatalf("phantom promotion: %v", snap)
+	}
+}
+
+// TestDigestOversizedCountRejected sends a digest whose count promises
+// 1<<31 entries and carries none: the server must answer with an error
+// before sizing anything by that count.
+func TestDigestOversizedCountRejected(t *testing.T) {
+	c, err := NewCluster(planCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, _ := c.Registry().ByID(1)
+	ctl := dial(t, c, s, "client-x")
+	var w rpc.Writer
+	w.U32(1 << 31)
+	var re *rpc.RemoteError
+	if _, _, err := ctl.Call(0, KindDigest, w.Bytes()); !errors.As(err, &re) {
+		t.Fatalf("digest with count 1<<31 and no body: got %v, want RemoteError", err)
+	}
+	if got := s.Stats().Digests; got != 0 {
+		t.Fatalf("%d digests landed", got)
 	}
 }
 

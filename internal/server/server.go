@@ -216,22 +216,22 @@ func (s *Server) handleFree(at simnet.Time, req *rpc.Reader) ([]byte, simnet.Tim
 	return nil, at, s.eng.Free(addr)
 }
 
+// digestEntryBytes is one digest entry on the wire: addr u64 + reads u32
+// + writes u32.
+const digestEntryBytes = 16
+
 func (s *Server) handleDigest(at simnet.Time, req *rpc.Reader) ([]byte, simnet.Time, error) {
-	n := int(req.U32())
-	entries := make([]hotness.Entry, 0, n)
-	for i := 0; i < n; i++ {
-		ent := hotness.Entry{
+	n, err := req.Count(digestEntryBytes)
+	if err != nil {
+		return nil, at, err
+	}
+	entries := make([]hotness.Entry, n)
+	for i := range entries {
+		entries[i] = hotness.Entry{
 			Addr:   region.GAddr(req.U64()),
 			Reads:  uint64(req.U32()),
 			Writes: uint64(req.U32()),
 		}
-		if req.Err() != nil {
-			break
-		}
-		entries = append(entries, ent)
-	}
-	if err := req.Err(); err != nil {
-		return nil, at, err
 	}
 	epoch := s.eng.Digest(at, entries)
 	var w rpc.Writer

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gengar/internal/hotness"
 	"gengar/internal/region"
 	"gengar/internal/telemetry/span"
 )
@@ -766,47 +765,6 @@ func (p *Pool) WriteMulti(reqs []WriteReq) error {
 	}
 	sp.Finish()
 	return firstErr
-}
-
-// Digest reports client-observed access counts to the home servers, one
-// OpDigest frame per server. It returns each server's remap epoch.
-func (p *Pool) Digest(entries []hotness.Entry) (map[uint16]uint64, error) {
-	epochs := make(map[uint16]uint64)
-	groups := make(map[uint16][]hotness.Entry)
-	var order []uint16
-	for _, e := range entries {
-		id := e.Addr.Server()
-		if _, seen := groups[id]; !seen {
-			order = append(order, id)
-		}
-		groups[id] = append(groups[id], e)
-	}
-	for _, id := range order {
-		sc, err := p.connByID(id)
-		if err != nil {
-			return nil, err
-		}
-		batch := groups[id]
-		var w payloadWriter
-		f := p.frames.newFrame(&w, 4+16*len(batch))
-		w.U32(uint32(len(batch)))
-		for _, e := range batch {
-			w.U64(uint64(e.Addr)).U32(uint32(e.Reads)).U32(uint32(e.Writes))
-		}
-		resp, err := sc.roundTrip(f, &w, OpDigest, nil)
-		if err != nil {
-			return nil, err
-		}
-		var r payloadReader
-		r.Reset(resp.payload)
-		epochs[id] = r.U64()
-		err = r.Err()
-		sc.release(resp)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return epochs, nil
 }
 
 // Version returns the version word covering addr — bumped on every

@@ -230,39 +230,6 @@ func TestVersionBumpsOnExclusiveRelease(t *testing.T) {
 	}
 }
 
-func TestClientDigestDrivesPromotion(t *testing.T) {
-	// A client that reports its own access counts (the simulated mount's
-	// protocol) drives promotion without the daemon-side cadence.
-	addrs := startServers(t, 1, func(c *ServerConfig) { c.DigestEvery = 1 << 30 })
-	p := dialPool(t, addrs)
-	a, err := p.Malloc(2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Write(a, bytes.Repeat([]byte{1}, 2048)); err != nil {
-		t.Fatal(err)
-	}
-	epochs, err := p.Digest([]hotness.Entry{{Addr: a, Reads: 500}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := epochs[a.Server()]; !ok {
-		t.Fatalf("no epoch for home server in %v", epochs)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		st, err := p.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st[0].Promotions > 0 {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatal("client digest never promoted the object")
-}
-
 // restartableServer runs one daemon whose listener address survives a
 // kill/restart cycle.
 type restartableServer struct {
@@ -739,36 +706,40 @@ func TestSnapshotRoundtripManyObjects(t *testing.T) {
 }
 
 // TestHugeDigestIntervalBoundedSession opens a session on a daemon whose
-// digest interval means "never" (1<<30, as TestClientDigestDrivesPromotion
-// configures it): the staging buffer is sized by a fixed chunk, not the
-// interval — 16 GiB per connection otherwise — and grows by append when
-// a session does stage more than a chunk. The default interval keeps its
-// exact capacity.
+// digest interval means "never" (1<<30): the session stages past the
+// buffer's up-front chunk (see hotness.NewStaging) without a digest and
+// keeps every observation, and every session reads the interval the
+// engine holds.
 func TestHugeDigestIntervalBoundedSession(t *testing.T) {
-	for _, c := range []struct{ every, wantCap int }{
-		{0, 64}, // the default
-		{8, 8},
-		{1 << 30, maxStagingChunk},
-	} {
-		srv, err := NewPoolServer(ServerConfig{ID: 1, PoolBytes: 1 << 20, DigestEvery: c.every})
+	for _, every := range []int{0, 8, 1 << 30} {
+		srv, err := NewPoolServer(ServerConfig{ID: 1, PoolBytes: 1 << 20, DigestEvery: every})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess := srv.openSession()
-		if got := cap(sess.staged); got != c.wantCap {
-			t.Errorf("DigestEvery=%d: staging capacity %d, want %d", c.every, got, c.wantCap)
+		want := every
+		if want == 0 {
+			want = 64 // the default
 		}
-		if c.every == 1<<30 {
+		if got := srv.eng.Config().Hotness.DigestEvery; got != want {
+			t.Errorf("DigestEvery=%d: engine digests every %d, want %d", every, got, want)
+		}
+		sess := srv.openSession()
+		if every == 1<<30 {
 			a, err := srv.eng.Malloc(64)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 2*maxStagingChunk; i++ {
+			const n = 3 * 4096
+			for i := 0; i < n; i++ {
 				sess.observe(a, false)
 			}
-			if len(sess.staged) != 2*maxStagingChunk || srv.eng.Stats().Digests != 0 {
-				t.Errorf("staged %d observations, %d digests; want %d and none",
-					len(sess.staged), srv.eng.Stats().Digests, 2*maxStagingChunk)
+			if d := srv.eng.Stats().Digests; d != 0 {
+				t.Errorf("%d digests after %d observations, want none", d, n)
+			}
+			var staged []hotness.Entry
+			sess.hot.Flush(func(e []hotness.Entry) { staged = append(staged, e...) })
+			if len(staged) != 1 || staged[0].Reads != n {
+				t.Errorf("staged %+v, want %d reads of %v", staged, n, a)
 			}
 		}
 		sess.close()

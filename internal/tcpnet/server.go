@@ -91,8 +91,8 @@ func (c *ServerConfig) fill() error {
 }
 
 // cluster maps the daemon configuration onto the engine's cluster
-// configuration: one server, real feature switches, default media and
-// hotness tuning.
+// configuration: one server, real feature switches, the daemon's digest
+// interval, default media and the rest of the hotness tuning.
 func (c *ServerConfig) cluster() config.Cluster {
 	cc := config.Default()
 	cc.Servers = 1
@@ -100,6 +100,7 @@ func (c *ServerConfig) cluster() config.Cluster {
 	cc.DRAMBufferBytes = c.CacheBytes
 	cc.RingBytes = c.RingBytes
 	cc.Features = config.Features{Cache: !c.NoCache, Proxy: !c.NoProxy}
+	cc.Hotness.DigestEvery = c.DigestEvery
 	return cc
 }
 
@@ -174,10 +175,6 @@ func NewPoolServer(cfg ServerConfig) (*PoolServer, error) {
 	s.telem.RegisterCounter("gengar_tcp_rx_bytes_total", "payload bytes written into the pool", &s.rxBytes, sl)
 	s.telem.RegisterCounter("gengar_tcp_tx_bytes_total", "payload bytes read out of the pool", &s.txBytes, sl)
 	s.telem.RegisterCounter("gengar_tcp_failures_total", "requests answered with an error", &s.failures, sl)
-	s.telem.GaugeFunc("gengar_tcp_objects", "live objects homed here", func() int64 {
-		return int64(s.eng.Stats().Objects)
-	}, sl)
-	s.telem.GaugeFunc("gengar_tcp_pool_used_bytes", "pool bytes allocated", s.eng.Pool().AllocatedBytes, sl)
 	s.telem.GaugeFunc("gengar_tcp_pool_capacity_bytes", "exported pool size", func() int64 {
 		return s.cfg.PoolBytes
 	}, sl)
@@ -201,6 +198,9 @@ func NewPoolServer(cfg ServerConfig) (*PoolServer, error) {
 	// Per-op instruments, resolved once: the request path must not pay
 	// a labeled lookup (and its label-sorting allocation) per frame.
 	for tag := 1; tag < maxOpTag; tag++ {
+		if Op(tag) == opRetired {
+			continue
+		}
 		op := telemetry.L("op", Op(tag).String())
 		s.opRequests[tag] = s.telem.Counter("gengar_tcp_requests_total",
 			"wire requests by kind", sl, op)
@@ -345,7 +345,7 @@ func (s *PoolServer) Close() {
 
 // session is one connection's server-side state: its lock-session
 // identity, its leased staging ring (when proxied writes are on), and
-// the access recorder feeding server-side hotness digests.
+// the staged accesses feeding server-side hotness digests.
 type session struct {
 	id  uint64
 	srv *PoolServer
@@ -354,33 +354,11 @@ type session struct {
 	ringBase int64
 	hasRing  bool
 
-	// staged is the session-local hotness buffer: per-op appends only,
-	// folded into one engine digest (one sketch-lock acquisition) every
-	// DigestEvery accesses. Guarded by stagedMu; per-connection sessions
-	// make it effectively uncontended.
-	stagedMu sync.Mutex
-	staged   []hotness.Obs
-
-	// One digest at a time (digesting, under stagedMu): the digest in
-	// flight owns spare, the buffer it swapped staged for, and agg, the
-	// scratch it folds into, so a digest allocates nothing once they
-	// have grown. Observations that arrive meanwhile stay in staged.
-	digesting bool
-	spare     []hotness.Obs
-	agg       hotness.Aggregator
-}
-
-// maxStagingChunk caps the staging buffer a session allocates up front:
-// DigestEvery is a flush interval and may be huge ("never digest"); the
-// buffer grows by append if a session really stages more than this.
-const maxStagingChunk = 4096
-
-func newStaging(digestEvery int) []hotness.Obs {
-	return make([]hotness.Obs, 0, min(digestEvery, maxStagingChunk))
+	hot *hotness.Staging
 }
 
 func (s *PoolServer) openSession() *session {
-	sess := &session{id: s.sessions.Add(1), srv: s, staged: newStaging(s.cfg.DigestEvery), spare: newStaging(s.cfg.DigestEvery)}
+	sess := &session{id: s.sessions.Add(1), srv: s, hot: hotness.NewStaging(s.eng.Config().Hotness.DigestEvery)}
 	if !s.eng.Features().Proxy {
 		return sess
 	}
@@ -413,39 +391,28 @@ func (sess *session) close() {
 	}
 }
 
-// observe records one data access for hotness identification and lands
-// a digest on the engine every DigestEvery accesses — the daemon plays
-// the client's digest-reporting role from the simulated mount, since a
-// TCP client has no recorder of its own unless it sends OpDigest.
+// observe stages one data access for hotness identification and lands
+// a digest on the engine every DigestEvery accesses — the daemon serves
+// every access, so it plays the simulated client's digest-reporting
+// role. Nothing is staged while the cache is off.
 func (sess *session) observe(addr region.GAddr, write bool) {
 	if !sess.srv.eng.Features().Cache {
 		return
 	}
-	sess.stagedMu.Lock()
-	sess.staged = append(sess.staged, hotness.Obs{Addr: addr, Write: write})
-	if len(sess.staged) < sess.srv.cfg.DigestEvery || sess.digesting {
-		sess.stagedMu.Unlock()
-		return
-	}
-	sess.digesting = true
-	batch := sess.staged
-	sess.staged = sess.spare[:0]
-	sess.stagedMu.Unlock()
-	// Aggregation and the digest run outside the staging lock, so a
-	// concurrent op only ever waits on the append above.
+	sess.hot.Observe(addr, write, sess.digest)
+}
+
+// digest lands one folded digest on the engine.
+func (sess *session) digest(entries []hotness.Entry) {
 	eng := sess.srv.eng
-	eng.Digest(eng.Now(), sess.agg.Fold(batch))
-	sess.stagedMu.Lock()
-	sess.spare = batch
-	sess.digesting = false
-	sess.stagedMu.Unlock()
+	eng.Digest(eng.Now(), entries)
 }
 
 // serveConn runs one connection: a buffered read loop whose goroutine
 // also writes the replies it produces (the frame queue has none).
 //
 // Dispatch rule: ops that cannot park — read, write with ring credit,
-// digest, version, stats, malloc, unlock with nothing staged, hello —
+// version, stats, malloc, unlock with nothing staged, hello —
 // are handled inline on the read goroutine, so the common path spawns
 // nothing. Ops that can park (lock acquires waiting out contention,
 // frees and exclusive unlocks draining staged writes, writes facing
@@ -544,27 +511,9 @@ func parks(sess *session, op Op, payload []byte) bool {
 	return false
 }
 
-// The least one batch record occupies on the wire: a write record is
-// addr u64 + blob length u32 (+ data), a digest entry is addr u64 +
-// reads u32 + writes u32.
-const (
-	writeRecordMin   = 12
-	digestEntryBytes = 16
-)
-
-// recordCount consumes a batch payload's leading record count and
-// rejects one the rest of the payload cannot hold, so a wire-supplied
-// count never sizes an allocation beyond the frame that carried it.
-func recordCount(req *payloadReader, recordBytes int) (int, error) {
-	n := req.U32()
-	if err := req.Err(); err != nil {
-		return 0, err
-	}
-	if fit := req.Len() / recordBytes; uint64(n) > uint64(fit) {
-		return 0, fmt.Errorf("tcpnet: batch count %d exceeds the %d records its payload can hold", n, fit)
-	}
-	return int(n), nil
-}
+// writeRecordMin is the least one batch record occupies on the wire:
+// addr u64 + blob length u32 (+ data).
+const writeRecordMin = 12
 
 // dispatch handles one request and enqueues its response frame. It owns
 // frame (the pooled request buffer) and recycles it after handling. It
@@ -617,7 +566,7 @@ func finishResp(f *[]byte, w *payloadWriter) *[]byte {
 // an empty-payload success. Errors travel back as error frames. A
 // non-nil sp collects engine-level stage marks.
 func (s *PoolServer) handle(sess *session, op Op, req *payloadReader, sp *span.Span) (*[]byte, error) {
-	if int(op) <= 0 || int(op) >= maxOpTag {
+	if int(op) <= 0 || int(op) >= maxOpTag || op == opRetired {
 		return nil, fmt.Errorf("tcpnet: unknown op %d", op)
 	}
 	s.ops.Inc()
@@ -742,7 +691,7 @@ func (s *PoolServer) serve(sess *session, op Op, req *payloadReader, sp *span.Sp
 		return nil, s.writeChain(sess, one[:], sp)
 
 	case OpWriteBatch:
-		n, err := recordCount(req, writeRecordMin)
+		n, err := req.Count(writeRecordMin)
 		if err != nil {
 			return nil, err
 		}
@@ -755,32 +704,6 @@ func (s *PoolServer) serve(sess *session, op Op, req *payloadReader, sp *span.Sp
 			return nil, err
 		}
 		return nil, s.writeChain(sess, reqs, sp)
-
-	case OpDigest:
-		n, err := recordCount(req, digestEntryBytes)
-		if err != nil {
-			return nil, err
-		}
-		entries := make([]hotness.Entry, 0, n)
-		for i := 0; i < n; i++ {
-			ent := hotness.Entry{
-				Addr:   region.GAddr(req.U64()),
-				Reads:  uint64(req.U32()),
-				Writes: uint64(req.U32()),
-			}
-			if req.Err() != nil {
-				break
-			}
-			entries = append(entries, ent)
-		}
-		if err := req.Err(); err != nil {
-			return nil, err
-		}
-		epoch := s.eng.Digest(s.eng.Now(), entries)
-		var w payloadWriter
-		f := s.frames.newFrame(&w, 8)
-		w.U64(epoch)
-		return finishResp(f, &w), nil
 
 	case OpVersion:
 		addr, err := s.homeAddr(req)

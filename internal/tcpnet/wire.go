@@ -42,7 +42,7 @@ const (
 	OpUnlockSh                 // gaddr u64
 	OpStats                    // -> see ServerStats field order
 	OpWriteBatch               // n u32, n x (gaddr u64, blob)
-	OpDigest                   // n u32, n x (gaddr u64, reads u32, writes u32) -> epoch u64
+	opRetired                  // was OpDigest; kept so later codes do not move and an old client gets "unknown op"
 	OpVersion                  // gaddr u64 -> version u64
 
 	// Daemon-to-daemon ops: a home server under arena pressure spills a
@@ -90,8 +90,6 @@ func (o Op) String() string {
 		return "stats"
 	case OpWriteBatch:
 		return "write_batch"
-	case OpDigest:
-		return "digest"
 	case OpVersion:
 		return "version"
 	case OpPeerPlace:

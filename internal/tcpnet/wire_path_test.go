@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -547,9 +548,9 @@ func TestOversizedReadKeepsConnAlive(t *testing.T) {
 	}
 }
 
-// TestOversizedBatchCountKeepsConnAlive sends OpWriteBatch and OpDigest
-// frames whose leading count promises far more records than the 4-byte
-// payload holds. The daemon used to size a slice by that count before
+// TestOversizedBatchCountKeepsConnAlive sends OpWriteBatch frames whose
+// leading count promises far more records than the 4-byte payload
+// holds. The daemon used to size a slice by that count before
 // reading one record (a 17-byte frame asked for gigabytes); it must
 // answer with an error frame on a connection that keeps serving.
 func TestOversizedBatchCountKeepsConnAlive(t *testing.T) {
@@ -564,23 +565,57 @@ func TestOversizedBatchCountKeepsConnAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []Op{OpWriteBatch, OpDigest} {
-		for _, count := range []uint32{0x0fffffff, 0xffffffff} {
-			var w payloadWriter
-			f := sc.frames.newFrame(&w, 4)
-			w.U32(count)
-			err := sc.call(f, &w, op, nil)
-			var re *RemoteError
-			if !errors.As(err, &re) {
-				t.Fatalf("%v with count %#x: got %v, want RemoteError", op, count, err)
-			}
-			if sc.dead() {
-				t.Fatalf("%v with count %#x severed the connection", op, count)
-			}
-			if err := p.Read(a, make([]byte, 64)); err != nil {
-				t.Fatalf("read after %v with count %#x: %v", op, count, err)
-			}
+	for _, count := range []uint32{0x0fffffff, 0xffffffff} {
+		var w payloadWriter
+		f := sc.frames.newFrame(&w, 4)
+		w.U32(count)
+		err := sc.call(f, &w, OpWriteBatch, nil)
+		var re *RemoteError
+		if !errors.As(err, &re) {
+			t.Fatalf("write batch with count %#x: got %v, want RemoteError", count, err)
 		}
+		if sc.dead() {
+			t.Fatalf("write batch with count %#x severed the connection", count)
+		}
+		if err := p.Read(a, make([]byte, 64)); err != nil {
+			t.Fatalf("read after write batch with count %#x: %v", count, err)
+		}
+	}
+}
+
+// TestRetiredDigestOpIsUnknown: a client on an older build that still
+// sends the retired digest op's code gets "unknown op" on a connection
+// that keeps serving — not another op, and no digest lands.
+func TestRetiredDigestOpIsUnknown(t *testing.T) {
+	p := dialPool(t, startServers(t, 1, nil))
+	a, err := p.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := p.connByID(a.Server())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w payloadWriter
+	f := sc.frames.newFrame(&w, 20)
+	w.U32(1).U64(uint64(a)).U32(500).U32(0) // the old digest layout
+	err = sc.call(f, &w, Op(12), nil)
+	var re *RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "unknown op") {
+		t.Fatalf("retired op 12: got %v, want unknown op", err)
+	}
+	if sc.dead() {
+		t.Fatal("retired op severed the connection")
+	}
+	if err := p.Read(a, make([]byte, 64)); err != nil {
+		t.Fatalf("read after retired op: %v", err)
+	}
+	st, err := p.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st[0].Digests != 0 {
+		t.Fatalf("%d digests landed", st[0].Digests)
 	}
 }
 
@@ -589,27 +624,22 @@ func TestOversizedBatchCountKeepsConnAlive(t *testing.T) {
 // of the op's minimum size, and rejected before anything is allocated.
 func TestRecordCountBound(t *testing.T) {
 	cases := []struct {
-		name        string
-		count       uint32
-		rest        int // payload bytes after the count
-		recordBytes int
-		ok          bool
+		name  string
+		count uint32
+		rest  int // payload bytes after the count
+		ok    bool
 	}{
-		{"empty batch", 0, 0, writeRecordMin, true},
-		{"write: largest count that fits", 3, 3*writeRecordMin + writeRecordMin - 1, writeRecordMin, true},
-		{"write: one more than fits", 4, 3*writeRecordMin + writeRecordMin - 1, writeRecordMin, false},
-		{"write: 0x0fffffff", 0x0fffffff, 0, writeRecordMin, false},
-		{"write: 0xffffffff", 0xffffffff, 1 << 10, writeRecordMin, false},
-		{"digest: largest count that fits", 5, 5 * digestEntryBytes, digestEntryBytes, true},
-		{"digest: one more than fits", 6, 5 * digestEntryBytes, digestEntryBytes, false},
-		{"digest: 0x0fffffff", 0x0fffffff, 0, digestEntryBytes, false},
-		{"digest: 0xffffffff", 0xffffffff, 1 << 10, digestEntryBytes, false},
+		{"empty batch", 0, 0, true},
+		{"largest count that fits", 3, 3*writeRecordMin + writeRecordMin - 1, true},
+		{"one more than fits", 4, 3*writeRecordMin + writeRecordMin - 1, false},
+		{"0x0fffffff", 0x0fffffff, 0, false},
+		{"0xffffffff", 0xffffffff, 1 << 10, false},
 	}
 	for _, tc := range cases {
 		var w payloadWriter
 		w.U32(tc.count)
 		req := newPayloadReader(append(w.Bytes(), make([]byte, tc.rest)...))
-		n, err := recordCount(req, tc.recordBytes)
+		n, err := req.Count(writeRecordMin)
 		switch {
 		case tc.ok && (err != nil || n != int(tc.count)):
 			t.Errorf("%s: got (%d, %v), want (%d, nil)", tc.name, n, err, tc.count)
@@ -617,7 +647,7 @@ func TestRecordCountBound(t *testing.T) {
 			t.Errorf("%s: count %d accepted with %d payload bytes behind it", tc.name, tc.count, tc.rest)
 		}
 	}
-	if _, err := recordCount(newPayloadReader([]byte{0, 0, 1}), writeRecordMin); err == nil {
+	if _, err := newPayloadReader([]byte{0, 0, 1}).Count(writeRecordMin); err == nil {
 		t.Error("truncated count accepted")
 	}
 }
