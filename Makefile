@@ -69,11 +69,13 @@ bench-cluster:
 bench-repo:
 	bash benchmark/run.sh -smoke
 
-# Short coverage-guided pass over the frame reader's fuzz target; the
-# checked-in corpus under internal/tcpnet/testdata/fuzz always runs as
-# part of `make test`.
+# Short coverage-guided passes over the wire's fuzz targets: the frame
+# reader, and batch payloads through the daemon's request handler. The
+# checked-in corpus under internal/tcpnet/testdata/fuzz and the seeds in
+# wire_fuzz_test.go always run as part of `make test`.
 fuzz-wire:
 	$(GO) test ./internal/tcpnet -run=^$$ -fuzz=^FuzzReadFrame$$ -fuzztime=10s
+	$(GO) test ./internal/tcpnet -run=^$$ -fuzz=^FuzzHandleBatch$$ -fuzztime=10s
 
 # Deployment-shaped smoke: builds the real gengard and gengar-cli
 # binaries and drives malloc/write/read/lock/promotion/snapshot-restart

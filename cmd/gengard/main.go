@@ -52,7 +52,7 @@ func run() error {
 		noCache     = flag.Bool("no-cache", false, "disable hotness tracking and DRAM cache promotion")
 		peers       = flag.String("peers", "", "comma-separated addresses of peer gengard daemons; joins the distributed DRAM cache (spill hot copies into peers' arenas under pressure)")
 		noProxy     = flag.Bool("no-proxy", false, "disable staged writes (writes go straight to the pool)")
-		lease       = flag.Duration("lease", 5*time.Second, "default lock lease")
+		lease       = flag.Duration("lease", 5*time.Second, "default and longest lock lease (a longer client request is clamped to it)")
 		lockWait    = flag.Duration("lock-wait", 2*time.Second, "lock acquire timeout")
 		dataFile    = flag.String("data", "", "snapshot file: restored on start if present, written on shutdown")
 		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/trace on this address (empty disables)")

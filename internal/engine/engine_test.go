@@ -238,7 +238,7 @@ func TestEngineLeaseReleaseBumpsVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	v0 := eng.Version(a)
-	if err := eng.Leases().LockExclusive(9, a, time.Second, time.Second); err != nil {
+	if err := eng.Leases().Lock(9, a, false, time.Second, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Version(a) != v0 {
@@ -251,7 +251,7 @@ func TestEngineLeaseReleaseBumpsVersion(t *testing.T) {
 		t.Fatalf("version after exclusive release: %d, want %d", got, v0+1)
 	}
 	// Shared leases never bump.
-	if err := eng.Leases().LockShared(9, a, time.Second, time.Second); err != nil {
+	if err := eng.Leases().Lock(9, a, true, time.Second, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Leases().UnlockShared(9, a); err != nil {

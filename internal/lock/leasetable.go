@@ -93,48 +93,52 @@ func (w *tableWord) reap(now time.Time) {
 	}
 }
 
-// LockExclusive grants session the write lock covering addr, waiting up
-// to timeout for holders (or their lease expiries).
-func (t *LeaseTable) LockExclusive(session uint64, addr region.GAddr, lease, timeout time.Duration) error {
-	deadline := t.now().Add(timeout)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	w := t.word(addr)
-	for {
-		now := t.now()
-		w.reap(now)
-		if w.writer == 0 && len(w.readers) == 0 {
-			w.writer = session
-			w.writerExpiry = now.Add(lease)
-			return nil
-		}
-		if w.writer == session {
-			// Lease renewal for the current holder.
-			w.writerExpiry = now.Add(lease)
-			return nil
-		}
-		if now.After(deadline) {
-			return fmt.Errorf("%w: exclusive %v", ErrLeaseTimeout, addr)
-		}
-		t.wait(deadline)
+// grant is the one grant step every acquire takes, blocking or not: it
+// reaps expired grants on w and grants session the lock — or renews the
+// holder's own lease — if the slot admits it at instant now. It never
+// waits. Caller holds mu.
+func (w *tableWord) grant(session uint64, shared bool, now time.Time, lease time.Duration) bool {
+	w.reap(now)
+	switch {
+	case shared && w.writer == 0:
+		w.readers[session] = now.Add(lease)
+	case !shared && (w.writer == session || w.writer == 0 && len(w.readers) == 0):
+		w.writer = session
+		w.writerExpiry = now.Add(lease)
+	default:
+		return false
 	}
+	return true
 }
 
-// LockShared grants session a read lock covering addr.
-func (t *LeaseTable) LockShared(session uint64, addr region.GAddr, lease, timeout time.Duration) error {
+// TryLock takes one grant step for session's lock covering addr (shared
+// or exclusive) and reports whether it was granted; it never waits. A
+// refused caller that still wants the lock waits with Lock.
+func (t *LeaseTable) TryLock(session uint64, addr region.GAddr, shared bool, lease time.Duration) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.word(addr).grant(session, shared, t.now(), lease)
+}
+
+// Lock grants session the lock covering addr (shared or exclusive),
+// retrying the grant step until holders release or their leases lapse,
+// for up to timeout. A timeout already spent takes the step once.
+func (t *LeaseTable) Lock(session uint64, addr region.GAddr, shared bool, lease, timeout time.Duration) error {
 	deadline := t.now().Add(timeout)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	w := t.word(addr)
 	for {
 		now := t.now()
-		w.reap(now)
-		if w.writer == 0 {
-			w.readers[session] = now.Add(lease)
+		if w.grant(session, shared, now, lease) {
 			return nil
 		}
-		if now.After(deadline) {
-			return fmt.Errorf("%w: shared %v", ErrLeaseTimeout, addr)
+		if !now.Before(deadline) {
+			kind := "exclusive"
+			if shared {
+				kind = "shared"
+			}
+			return fmt.Errorf("%w: %s %v", ErrLeaseTimeout, kind, addr)
 		}
 		t.wait(deadline)
 	}
@@ -147,9 +151,19 @@ const leaseTick = 10 * time.Millisecond
 // wait blocks until a release broadcast, the deadline or the next tick,
 // whichever is first. Caller holds mu.
 func (t *LeaseTable) wait(deadline time.Time) {
-	timer := time.AfterFunc(min(leaseTick, deadline.Sub(t.now())), t.cond.Broadcast)
+	timer := time.AfterFunc(min(leaseTick, deadline.Sub(t.now())), t.wake)
 	t.cond.Wait()
 	timer.Stop()
+}
+
+// wake is the timer's broadcast. It takes mu first: a timer that fires
+// before its waiter is inside cond.Wait — a deadline a moment away —
+// would otherwise broadcast to nobody and leave the waiter asleep past
+// its deadline until some release happened to come.
+func (t *LeaseTable) wake() {
+	t.mu.Lock()
+	t.cond.Broadcast()
+	t.mu.Unlock()
 }
 
 // UnlockExclusive releases session's write lock covering addr.

@@ -23,11 +23,11 @@ func TestLeaseRenewalByHolder(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := region.MustGAddr(1, 64)
-	if err := tbl.LockExclusive(7, a, 50*time.Millisecond, time.Second); err != nil {
+	if err := tbl.Lock(7, a, false, 50*time.Millisecond, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// Re-acquire by the same session renews, never deadlocks.
-	if err := tbl.LockExclusive(7, a, 50*time.Millisecond, time.Second); err != nil {
+	if err := tbl.Lock(7, a, false, 50*time.Millisecond, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.UnlockExclusive(7, a); err != nil {
@@ -43,12 +43,12 @@ func TestLeaseTableExpiredReaderReaped(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := region.MustGAddr(1, 64)
-	if err := tbl.LockShared(1, a, 30*time.Millisecond, time.Millisecond); err != nil {
+	if err := tbl.Lock(1, a, true, 30*time.Millisecond, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// Advance the injected clock past the lease: a writer gets in.
 	now = now.Add(time.Second)
-	if err := tbl.LockExclusive(2, a, time.Second, time.Millisecond); err != nil {
+	if err := tbl.Lock(2, a, false, time.Second, time.Millisecond); err != nil {
 		t.Fatalf("writer blocked by expired reader: %v", err)
 	}
 	// The expired reader's release is now an error.
@@ -67,7 +67,7 @@ func TestLeaseWriterReleaseHook(t *testing.T) {
 	a := region.MustGAddr(1, 64)
 
 	// Shared grants never fire the hook.
-	if err := tbl.LockShared(1, a, time.Second, time.Second); err != nil {
+	if err := tbl.Lock(1, a, true, time.Second, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.UnlockShared(1, a); err != nil {
@@ -77,7 +77,7 @@ func TestLeaseWriterReleaseHook(t *testing.T) {
 		t.Fatalf("hook fired on shared release: %v", bumped)
 	}
 	// An exclusive release fires it exactly once with the lock address.
-	if err := tbl.LockExclusive(2, a, time.Second, time.Second); err != nil {
+	if err := tbl.Lock(2, a, false, time.Second, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.UnlockExclusive(2, a); err != nil {
@@ -107,14 +107,14 @@ func TestLeaseTableWaiterWakes(t *testing.T) {
 	a := region.MustGAddr(1, 64)
 
 	// A release wakes every waiter; each then gets its turn.
-	if err := tbl.LockExclusive(1, a, time.Minute, time.Second); err != nil {
+	if err := tbl.Lock(1, a, false, time.Minute, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	const waiters = 8
 	errc := make(chan error, waiters)
 	for s := uint64(2); s < 2+waiters; s++ {
 		go func(s uint64) {
-			err := tbl.LockExclusive(s, a, time.Minute, 10*time.Second)
+			err := tbl.Lock(s, a, false, time.Minute, 10*time.Second)
 			if err == nil {
 				err = tbl.UnlockExclusive(s, a)
 			}
@@ -132,15 +132,102 @@ func TestLeaseTableWaiterWakes(t *testing.T) {
 	}
 
 	// A lapsed lease is noticed with no release to broadcast it.
-	if err := tbl.LockShared(20, a, 15*time.Millisecond, time.Second); err != nil {
+	if err := tbl.Lock(20, a, true, 15*time.Millisecond, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.LockExclusive(21, a, time.Minute, 10*time.Second); err != nil {
+	if err := tbl.Lock(21, a, false, time.Minute, 10*time.Second); err != nil {
 		t.Fatalf("writer behind a lapsed reader lease: %v", err)
 	}
 
 	// The deadline ends the wait on its own.
-	if err := tbl.LockShared(22, a, time.Minute, time.Millisecond); !errors.Is(err, ErrLeaseTimeout) {
+	if err := tbl.Lock(22, a, true, time.Minute, time.Millisecond); !errors.Is(err, ErrLeaseTimeout) {
 		t.Fatalf("reader behind a live writer: %v", err)
+	}
+}
+
+// TestLeaseWaiterWakesAtItsDeadline: a contended acquire whose budget is
+// a few microseconds arms a timer that can fire before the waiter is
+// inside cond.Wait. That wake-up must not be lost — the waiter must not
+// sleep on past its deadline until some release comes. Each try is
+// sequential, so no other waiter's timer can rescue it.
+func TestLeaseWaiterWakesAtItsDeadline(t *testing.T) {
+	tbl, err := NewLeaseTable(16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := region.MustGAddr(1, 64)
+	if err := tbl.Lock(1, a, false, time.Hour, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		done := make(chan error, 1)
+		go func() { done <- tbl.Lock(2, a, false, time.Hour, time.Duration(i%20)*time.Microsecond) }()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrLeaseTimeout) {
+				t.Fatalf("try %d: %v, want ErrLeaseTimeout", i, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("try %d: the waiter slept past its deadline", i)
+		}
+	}
+}
+
+// TestTryLockIsTheGrantStep: TryLock is the step Lock retries, taken
+// once. Wherever Lock with no time to wait succeeds, TryLock grants (a
+// holder asking again renews its lease); wherever Lock would have to
+// wait, TryLock refuses and leaves the slot's grants as they were.
+func TestTryLockIsTheGrantStep(t *testing.T) {
+	a := region.MustGAddr(1, 64)
+	hold := func(session uint64, shared bool, lease time.Duration) func(*LeaseTable) error {
+		return func(tbl *LeaseTable) error { return tbl.Lock(session, a, shared, lease, 0) }
+	}
+	cases := []struct {
+		name   string
+		setup  func(*LeaseTable) error
+		shared bool
+		want   bool
+	}{
+		{"free slot, exclusive", nil, false, true},
+		{"free slot, shared", nil, true, true},
+		{"another writer, exclusive", hold(2, false, time.Minute), false, false},
+		{"another writer, shared", hold(2, false, time.Minute), true, false},
+		{"own write lock, exclusive renews", hold(1, false, time.Minute), false, true},
+		{"another reader, exclusive", hold(2, true, time.Minute), false, false},
+		{"another reader, shared", hold(2, true, time.Minute), true, true},
+		{"lapsed writer, exclusive", hold(2, false, time.Millisecond), false, true},
+	}
+	for _, tc := range cases {
+		var got [2]bool
+		for i := range got {
+			now := time.Now()
+			tbl, err := NewLeaseTable(16, func() time.Time { return now })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.setup != nil {
+				if err := tc.setup(tbl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			now = now.Add(time.Second) // a lapsed lease is past; a live one is not
+			if i == 0 {
+				got[i] = tbl.TryLock(1, a, tc.shared, time.Minute)
+			} else {
+				got[i] = tbl.Lock(1, a, tc.shared, time.Minute, 0) == nil
+			}
+			if got[i] || tc.setup == nil {
+				continue
+			}
+			// Refused: the holder's grant is untouched and still releasable.
+			if err := tbl.UnlockExclusive(2, a); err != nil {
+				if err := tbl.UnlockShared(2, a); err != nil {
+					t.Fatalf("%s: the refused acquire disturbed the holder's grant: %v", tc.name, err)
+				}
+			}
+		}
+		if got[0] != tc.want || got[1] != tc.want {
+			t.Errorf("%s: TryLock %v, Lock with no wait %v; want %v", tc.name, got[0], got[1], tc.want)
+		}
 	}
 }

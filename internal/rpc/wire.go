@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Kind identifies an RPC method on a server.
@@ -93,6 +94,15 @@ func (w *Writer) Blob(b []byte) *Writer {
 	w.U32(uint32(len(b)))
 	w.buf = append(w.buf, b...)
 	return w
+}
+
+// Extend appends n bytes for the caller to fill in place — a transport
+// reads a blob's data straight into its wire position — and returns
+// them. Their contents are whatever the buffer held.
+func (w *Writer) Extend(n int) []byte {
+	w.buf = slices.Grow(w.buf, n)
+	w.buf = w.buf[:len(w.buf)+n]
+	return w.buf[len(w.buf)-n:]
 }
 
 // Reader consumes binary fields from a payload. The first decode error

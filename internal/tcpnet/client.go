@@ -82,11 +82,11 @@ func (c *PoolConfig) fill() error {
 }
 
 // Pool is a client of a set of gengard daemons: one TCP connection per
-// server, requests pipelined and demultiplexed by ID. A lone op is
-// written by its caller; a WriteMulti chain or ReadMulti scan leaves in
-// one writev, and concurrent callers coalesce behind whichever of them
-// is writing. It is safe for concurrent use. A connection that dies is
-// redialed transparently on the next operation that needs it.
+// server, requests pipelined and demultiplexed by ID. Every op is
+// written by its caller — a ReadMulti or WriteMulti as one frame per
+// home server — and concurrent callers coalesce behind whichever of
+// them is writing. It is safe for concurrent use. A connection that
+// dies is redialed transparently on the next operation that needs it.
 type Pool struct {
 	cfg PoolConfig
 
@@ -316,12 +316,12 @@ func (sc *serverConn) failAll(err error) {
 func (sc *serverConn) dead() bool { return sc.closed.Load() }
 
 // start registers a waiter and enqueues a request frame whose payload
-// was encoded in place over f via w — which writes it, unless the queue
-// is corked (a ReadMulti chain) or another caller is mid-write and takes
-// it along. The returned channel receives exactly one response; pass it
-// to wait. A non-nil sp means f was reserved via opFrame with the trace
-// extension in place; start sets the matching tag bit and marks the
-// span's encode stage (the write itself counts as netWait).
+// was encoded in place over f via w — which writes it, unless another
+// caller is mid-write and takes it along. The returned channel receives
+// exactly one response; pass it to wait. A non-nil sp means f was
+// reserved via opFrame with the trace extension in place; start sets
+// the matching tag bit and marks the span's encode stage (the write
+// itself counts as netWait).
 //
 //gengar:hotpath
 func (sc *serverConn) start(f *[]byte, w *payloadWriter, op Op, sp *span.Span) (chan response, error) {
@@ -627,75 +627,111 @@ type ReadReq struct {
 	Buf  []byte
 }
 
-// inflight tracks one request of a chain: resolved to its connection,
-// then (ch set) started and awaiting its response.
-type inflight struct {
-	sc *serverConn
-	ch chan response
+// batchRecord is a record of a batched call: the server it is homed on,
+// and its encoding onto a request frame.
+type batchRecord interface {
+	home() uint16
+	wireBytes() int
+	encode(w payloadWriter) payloadWriter
 }
 
-// corkChain corks (or uncorks) every connection a chain touches, once
-// per run of consecutive frames to it.
-func corkChain(chain []inflight, on bool) {
-	for i := range chain {
-		if i == 0 || chain[i].sc != chain[i-1].sc {
-			chain[i].sc.q.cork(on)
-		}
-	}
+func (r ReadReq) home() uint16  { return r.Addr.Server() }
+func (r WriteReq) home() uint16 { return r.Addr.Server() }
+
+func (r ReadReq) wireBytes() int  { return readRecordMin }
+func (r WriteReq) wireBytes() int { return writeRecordMin + len(r.Data) }
+
+// encode appends the record to w, taken and returned by value so the
+// writer never escapes through the generic call.
+func (r ReadReq) encode(w payloadWriter) payloadWriter {
+	w.U64(uint64(r.Addr)).U32(uint32(len(r.Buf)))
+	return w
 }
 
-// ReadMulti fills every request's Buf — the wire analogue of the RDMA
-// client's doorbell-batched READ chains. All requests are started
-// before any is waited on, so a k-record chain to one daemon leaves in
-// a single writev and overlaps its round trips across daemons. The
-// first failure is reported after every started request has settled.
-func (p *Pool) ReadMulti(reqs []ReadReq) error {
-	if len(reqs) == 0 {
-		return nil
-	}
-	// Resolve the chain's connections before corking any: a redial may
-	// sleep, and nothing between cork and uncork may wait.
-	chain := make([]inflight, 0, len(reqs))
-	var firstErr error
+func (r WriteReq) encode(w payloadWriter) payloadWriter {
+	w.U64(uint64(r.Addr)).Blob(r.Data)
+	return w
+}
+
+// batchCall is one home server's share of a batched call: its records
+// are the call's records homed there, in request order.
+type batchCall struct {
+	home  uint16
+	n     int // records
+	bytes int // request payload bytes
+	sc    *serverConn
+	ch    chan response // set once the frame is started
+}
+
+// stackHomes is how many home servers a batched call groups on the
+// stack; one spanning more grows onto the heap. A batch touches few.
+const stackHomes = 4
+
+// groupByHome appends one batchCall per home server of reqs to calls, in
+// first-seen order, with its record count and payload size — a scan
+// over the homes seen so far in place of a map.
+func groupByHome[R batchRecord](reqs []R, calls []batchCall) []batchCall {
+next:
 	for i := range reqs {
-		sc, err := p.connByID(reqs[i].Addr.Server())
-		if err != nil {
-			firstErr = err
-			break
-		}
-		chain = append(chain, inflight{sc: sc})
-	}
-	var sp *span.Span
-	if len(chain) > 0 {
-		sp = p.traceStart(chain[0].sc, OpRead)
-	}
-	corkChain(chain, true) // each connection's share leaves in one writev
-	for i := range chain {
-		fl := &chain[i]
-		fsp := traceFor(fl.sc, sp)
-		var w payloadWriter
-		f := p.opFrame(fsp, &w, 12)
-		w.U64(uint64(reqs[i].Addr)).U32(uint32(len(reqs[i].Buf)))
-		ch, err := fl.sc.start(f, &w, OpRead, fsp)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		fl.ch = ch
-	}
-	corkChain(chain, false)
-	for i, fl := range chain {
-		if fl.ch == nil {
-			break // never started
-		}
-		resp, err := fl.sc.wait(fl.ch, OpRead, traceFor(fl.sc, sp))
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+		home, bytes := reqs[i].home(), reqs[i].wireBytes()
+		for c := range calls {
+			if calls[c].home == home {
+				calls[c].n++
+				calls[c].bytes += bytes
+				continue next
 			}
-			continue
 		}
-		if _, err := decodeReadInto(fl.sc, resp, reqs[i].Buf); err != nil && firstErr == nil {
+		calls = append(calls, batchCall{home: home, n: 1, bytes: 4 + bytes})
+	}
+	return calls
+}
+
+// callBatch issues one op frame per home server, carrying that home's
+// records of reqs in request order — the wire analogue of the RDMA
+// client's doorbell-batched chains — and hands each reply to settle.
+// Every home's frame is started before any is waited on, so the round
+// trips overlap across daemons. The first failure is reported after
+// every started frame has settled.
+//
+//gengar:hotpath
+func callBatch[R batchRecord](p *Pool, op Op, reqs []R, settle func(*serverConn, response, uint16, []R) error) error {
+	var stack [stackHomes]batchCall
+	calls := groupByHome(reqs, stack[:0])
+	var sp *span.Span
+	var firstErr error
+	started := 0
+	for c := range calls {
+		call := &calls[c]
+		sc, err := p.connByID(call.home)
+		if err != nil {
+			firstErr = err
+			break
+		}
+		if c == 0 {
+			sp = p.traceStart(sc, op)
+		}
+		fsp := traceFor(sc, sp)
+		var w payloadWriter
+		f := p.opFrame(fsp, &w, call.bytes)
+		w.U32(uint32(call.n))
+		for i := range reqs {
+			if reqs[i].home() == call.home {
+				w = reqs[i].encode(w)
+			}
+		}
+		if call.ch, err = sc.start(f, &w, op, fsp); err != nil {
+			firstErr = err
+			break
+		}
+		call.sc = sc
+		started++
+	}
+	for _, call := range calls[:started] {
+		resp, err := call.sc.wait(call.ch, op, traceFor(call.sc, sp))
+		if err == nil {
+			err = settle(call.sc, resp, call.home, reqs)
+		}
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -704,67 +740,61 @@ func (p *Pool) ReadMulti(reqs []ReadReq) error {
 	return firstErr
 }
 
-// WriteMulti stores a batch of records, one OpWriteBatch frame per home
-// server — the wire analogue of the RDMA client's doorbell-batched
-// write chains. Records to the same server land in request order; the
-// per-server chains are started together and overlap their round trips.
-func (p *Pool) WriteMulti(reqs []WriteReq) error {
-	if len(reqs) == 0 {
-		return nil
-	}
-	// Group by home server, preserving per-server request order.
-	groups := make(map[uint16][]WriteReq)
-	var order []uint16
-	for _, r := range reqs {
-		id := r.Addr.Server()
-		if _, seen := groups[id]; !seen {
-			order = append(order, id)
-		}
-		groups[id] = append(groups[id], r)
-	}
-	started := make([]inflight, 0, len(order))
+// ReadMulti fills every request's Buf, one OpReadBatch frame per home
+// server. A record the daemon fails — a bad address, say — fails alone:
+// the others still fill, and the call reports the first failure.
+func (p *Pool) ReadMulti(reqs []ReadReq) error {
+	return callBatch(p, OpReadBatch, reqs, decodeReadBatch)
+}
+
+// decodeReadBatch copies an OpReadBatch reply into the Bufs of reqs'
+// records homed at home, in request order, and recycles the frame. A
+// record the daemon failed leaves its Buf untouched; the first failure
+// is returned once every record is decoded.
+//
+//gengar:hotpath
+func decodeReadBatch(sc *serverConn, resp response, home uint16, reqs []ReadReq) error {
+	var r payloadReader
+	r.Reset(resp.payload)
 	var firstErr error
-	var sp *span.Span
-	for i, id := range order {
-		sc, err := p.connByID(id)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		if i == 0 {
-			sp = p.traceStart(sc, OpWriteBatch)
-		}
-		fsp := traceFor(sc, sp)
-		chain := groups[id]
-		size := 4
-		for _, r := range chain {
-			size += 8 + 4 + len(r.Data)
-		}
-		var w payloadWriter
-		f := p.opFrame(fsp, &w, size)
-		w.U32(uint32(len(chain)))
-		for _, r := range chain {
-			w.U64(uint64(r.Addr)).Blob(r.Data)
-		}
-		ch, err := sc.start(f, &w, OpWriteBatch, fsp)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		started = append(started, inflight{sc: sc, ch: ch})
-	}
-	for _, fl := range started {
-		resp, err := fl.sc.wait(fl.ch, OpWriteBatch, traceFor(fl.sc, sp))
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+	for i := range reqs {
+		if reqs[i].home() != home {
 			continue
 		}
-		fl.sc.release(resp)
+		var err error
+		if r.U8() == statusOK {
+			data := r.Blob()
+			r.U8() // the source byte: ReadMulti reports no hits
+			if n := len(reqs[i].Buf); len(data) == n {
+				copy(reqs[i].Buf, data)
+			} else {
+				err = fmt.Errorf("tcpnet: short read: %d of %d bytes", len(data), n)
+			}
+		} else {
+			err = &RemoteError{Op: OpReadBatch, Msg: r.Str()}
+		}
+		if r.Err() != nil {
+			firstErr = r.Err()
+			break
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
-	sp.Finish()
+	sc.release(resp)
 	return firstErr
+}
+
+// WriteMulti stores a batch of records, one OpWriteBatch frame per home
+// server. Records to the same server land in request order.
+func (p *Pool) WriteMulti(reqs []WriteReq) error {
+	return callBatch(p, OpWriteBatch, reqs, releaseBatch)
+}
+
+// releaseBatch settles an OpWriteBatch reply, which carries nothing.
+func releaseBatch(sc *serverConn, resp response, _ uint16, _ []WriteReq) error {
+	sc.release(resp)
+	return nil
 }
 
 // Version returns the version word covering addr — bumped on every

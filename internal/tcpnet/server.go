@@ -17,6 +17,7 @@ import (
 	"gengar/internal/metrics"
 	"gengar/internal/proxy"
 	"gengar/internal/region"
+	"gengar/internal/simnet"
 	"gengar/internal/telemetry"
 	"gengar/internal/telemetry/span"
 )
@@ -48,7 +49,8 @@ type ServerConfig struct {
 	// pool).
 	NoProxy bool
 	// DefaultLease bounds how long a lock grant survives a silent
-	// client; 0 selects 5s.
+	// client: it is the lease of a request that names none, and the
+	// longest one granted; 0 selects 5s.
 	DefaultLease time.Duration
 	// AcquireTimeout bounds how long a lock request waits; 0 selects 2s.
 	AcquireTimeout time.Duration
@@ -117,7 +119,8 @@ type PoolServer struct {
 	ops      metrics.Counter
 	rxBytes  metrics.Counter // payload bytes written into the pool
 	txBytes  metrics.Counter // payload bytes read out of the pool
-	failures metrics.Counter // requests answered with an error status
+	failures metrics.Counter // requests (and read-batch records) answered with an error
+	parked   metrics.Counter // requests handed a goroutine of their own because they wait
 
 	// frames backs every request and response buffer this daemon
 	// touches; the flush histograms are wired into each connection's
@@ -148,7 +151,7 @@ type PoolServer struct {
 
 // maxOpTag bounds the per-op instrument caches; op bytes at or above it
 // are unknown and rejected before any instrument is touched.
-const maxOpTag = int(OpPeerRelease) + 1
+const maxOpTag = int(OpReadBatch) + 1
 
 // NewPoolServer validates cfg and builds an idle daemon; call Serve.
 func NewPoolServer(cfg ServerConfig) (*PoolServer, error) {
@@ -174,7 +177,8 @@ func NewPoolServer(cfg ServerConfig) (*PoolServer, error) {
 	s.telem.RegisterCounter("gengar_tcp_ops_total", "wire requests served", &s.ops, sl)
 	s.telem.RegisterCounter("gengar_tcp_rx_bytes_total", "payload bytes written into the pool", &s.rxBytes, sl)
 	s.telem.RegisterCounter("gengar_tcp_tx_bytes_total", "payload bytes read out of the pool", &s.txBytes, sl)
-	s.telem.RegisterCounter("gengar_tcp_failures_total", "requests answered with an error", &s.failures, sl)
+	s.telem.RegisterCounter("gengar_tcp_failures_total", "requests and read-batch records answered with an error", &s.failures, sl)
+	s.telem.RegisterCounter("gengar_tcp_parked_total", "requests handed a goroutine of their own because they wait", &s.parked, sl)
 	s.telem.GaugeFunc("gengar_tcp_pool_capacity_bytes", "exported pool size", func() int64 {
 		return s.cfg.PoolBytes
 	}, sl)
@@ -411,13 +415,14 @@ func (sess *session) digest(entries []hotness.Entry) {
 // serveConn runs one connection: a buffered read loop whose goroutine
 // also writes the replies it produces (the frame queue has none).
 //
-// Dispatch rule: ops that cannot park — read, write with ring credit,
-// version, stats, malloc, unlock with nothing staged, hello —
-// are handled inline on the read goroutine, so the common path spawns
-// nothing. Ops that can park (lock acquires waiting out contention,
-// frees and exclusive unlocks draining staged writes, writes facing
-// staging-ring backpressure) get a goroutine so a parked request never
-// stalls the connection's other traffic.
+// Dispatch rule: a request gets a goroutine only if it must wait, so the
+// common path spawns nothing and a parked request never stalls the
+// connection's other traffic. Frees and exclusive unlocks park only when
+// the session has staged records to drain, writes only when the ring
+// lacks the credits they need. A lock acquire is attempted inline with
+// one non-blocking grant step; only a refused one parks, and its
+// goroutine waits out the rest of the acquire budget. Everything else —
+// reads, malloc, version, stats, hello — is inline.
 //
 // Batching rule: the reader corks the queue while a whole further
 // request is already buffered and uncorks after dispatching the last
@@ -466,13 +471,9 @@ func (s *PoolServer) serveConn(conn net.Conn) {
 			sp = s.tracer.Start(op.String())
 		}
 		if parks(sess, op, payload) {
-			reqWG.Add(1)
-			go func() {
-				defer reqWG.Done()
-				s.dispatch(sess, q, id, op, frame, payload, sp)
-			}()
+			s.park(&reqWG, func() { s.dispatch(sess, q, id, op, frame, payload, sp, &reqWG) })
 		} else {
-			s.dispatch(sess, q, id, op, frame, payload, sp)
+			s.dispatch(sess, q, id, op, frame, payload, sp, &reqWG)
 		}
 		if corked && !more {
 			q.cork(false)
@@ -481,19 +482,17 @@ func (s *PoolServer) serveConn(conn net.Conn) {
 	}
 }
 
-// parks reports whether an op may block the handling goroutine: lock
-// acquires wait out contention, frees and exclusive unlocks drain the
-// session's staged writes, and stages park when the ring has fewer
-// credits than the frame needs. An unlock with nothing staged has
-// nothing to wait for and stays inline. The credit probe is advisory —
-// a concurrent stage can still win the last slot — so an inline write
-// may briefly wait on the flusher; that is bounded and deadlock-free
-// (the flusher runs independently).
+// parks reports whether an op will block the handling goroutine before
+// it is handled: frees and exclusive unlocks drain the session's staged
+// writes, so they park only when there are some, and stages park when
+// the ring has fewer credits than the frame needs. Lock acquires are not
+// decided here: the grant step itself decides (see lockWait). The probes
+// are advisory — a parked write of the same session can still stage or
+// win the last slot — so an inline op may briefly wait on the flusher;
+// that is bounded and deadlock-free (the flusher runs independently).
 func parks(sess *session, op Op, payload []byte) bool {
 	switch op {
-	case OpLockEx, OpLockSh, OpFree:
-		return true
-	case OpUnlockEx:
+	case OpFree, OpUnlockEx:
 		return sess.writer != nil && sess.writer.PendingCount() > 0
 	case OpWrite, OpWriteBatch:
 		if sess.writer == nil {
@@ -511,23 +510,91 @@ func parks(sess *session, op Op, payload []byte) bool {
 	return false
 }
 
-// writeRecordMin is the least one batch record occupies on the wire:
-// addr u64 + blob length u32 (+ data).
-const writeRecordMin = 12
+// Least wire bytes of one batch record: addr u64 + blob length u32 (+
+// data) for a write, addr u64 + len u32 for a read.
+const (
+	writeRecordMin = 12
+	readRecordMin  = 12
+)
 
-// dispatch handles one request and enqueues its response frame. It owns
-// frame (the pooled request buffer) and recycles it after handling. It
-// also owns sp until the response is enqueued, at which point span
-// ownership transfers to the frame queue's flusher — the one place
-// that can stamp the writevFlush stage and finish the span.
+// stackBatch is how many records a batch frame decodes into a stack
+// array; a longer one gets a slice. A transaction's share of one home
+// fits.
+const stackBatch = 16
+
+// batchOf returns n records: small's own storage when they fit, so a
+// small batch is decoded without allocating.
+func batchOf[T any](small []T, n int) []T {
+	if n <= len(small) {
+		return small[:n]
+	}
+	return make([]T, n)
+}
+
+// park runs fn on a goroutine of its own, tracked by parked (which the
+// connection's teardown waits for) and counted.
+func (s *PoolServer) park(parked *sync.WaitGroup, fn func()) {
+	s.parked.Inc()
+	parked.Add(1)
+	go func() {
+		defer parked.Done()
+		fn()
+	}()
+}
+
+// lockWait is a lock acquire the inline grant step refused. Only it gets
+// a goroutine, which waits out what is left of the acquire budget, so a
+// connection's reader never blocks on contention — and a granted
+// acquire is granted once, inline. handle returns it as the request's
+// error; dispatch parks it instead of answering.
+type lockWait struct {
+	s       *PoolServer
+	session uint64
+	op      Op
+	addr    region.GAddr
+	lease   time.Duration
+	start   time.Time // when handling began; the budget and the latency run from here
+}
+
+func (lw *lockWait) Error() string { return "tcpnet: lock acquire contended" }
+
+// wait blocks until the lock is granted or the acquire budget is spent,
+// and records the acquire's whole latency.
+func (lw *lockWait) wait(sp *span.Span) error {
+	s := lw.s
+	err := s.eng.Leases().Lock(lw.session, lw.addr, lw.op == OpLockSh, lw.lease, s.cfg.AcquireTimeout-time.Since(lw.start))
+	s.opLatency[lw.op].Record(time.Since(lw.start))
+	sp.Mark(span.StageLockWait)
+	return err
+}
+
+// dispatch handles one request and enqueues its response frame — or,
+// for a contended lock acquire, parks a goroutine (tracked by parked)
+// that answers once the wait ends. It owns frame (the pooled request
+// buffer) and recycles it after handling. It also owns sp until the
+// response is enqueued, at which point span ownership transfers to the
+// frame queue's flusher — the one place that can stamp the writevFlush
+// stage and finish the span.
 //
 //gengar:hotpath
-func (s *PoolServer) dispatch(sess *session, q *frameQueue, id uint64, op Op, frame *[]byte, payload []byte, sp *span.Span) {
+func (s *PoolServer) dispatch(sess *session, q *frameQueue, id uint64, op Op, frame *[]byte, payload []byte, sp *span.Span, parked *sync.WaitGroup) {
 	sp.Mark(span.StageQueueWait)
 	var req payloadReader
 	req.Reset(payload)
 	resp, err := s.handle(sess, op, &req, sp)
 	s.frames.put(frame)
+	if lw, ok := err.(*lockWait); ok {
+		s.park(parked, func() { s.reply(q, id, nil, lw.wait(sp), sp) })
+		return
+	}
+	s.reply(q, id, resp, err, sp)
+}
+
+// reply stamps and enqueues the answer to request id: resp (nil for an
+// empty payload) on success, an error frame otherwise. sp goes with it.
+//
+//gengar:hotpath
+func (s *PoolServer) reply(q *frameQueue, id uint64, resp *[]byte, err error, sp *span.Span) {
 	if err != nil {
 		s.failures.Inc()
 		ef, eerr := s.frames.encodeFrame(id, statusErr, []byte(err.Error()))
@@ -563,8 +630,9 @@ func finishResp(f *[]byte, w *payloadWriter) *[]byte {
 
 // handle serves one request and returns its response as a pooled frame
 // with the header reserved and the payload encoded in place, or nil for
-// an empty-payload success. Errors travel back as error frames. A
-// non-nil sp collects engine-level stage marks.
+// an empty-payload success. Errors travel back as error frames, except
+// a *lockWait, which dispatch parks. A non-nil sp collects engine-level
+// stage marks.
 func (s *PoolServer) handle(sess *session, op Op, req *payloadReader, sp *span.Span) (*[]byte, error) {
 	if int(op) <= 0 || int(op) >= maxOpTag || op == opRetired {
 		return nil, fmt.Errorf("tcpnet: unknown op %d", op)
@@ -573,6 +641,10 @@ func (s *PoolServer) handle(sess *session, op Op, req *payloadReader, sp *span.S
 	s.opRequests[op].Inc()
 	start := time.Now()
 	resp, err := s.serve(sess, op, req, sp)
+	if lw, ok := err.(*lockWait); ok {
+		lw.start = start // its goroutine records the latency once the wait ends
+		return nil, lw
+	}
 	s.opLatency[op].Record(time.Since(start))
 	return resp, err
 }
@@ -625,59 +697,29 @@ func (s *PoolServer) serve(sess *session, op Op, req *payloadReader, sp *span.Sp
 		return nil, s.eng.Free(addr)
 
 	case OpRead:
-		addr, err := s.homeAddr(req)
-		if err != nil {
-			return nil, err
-		}
-		n := int64(req.U32())
+		// A lone read is a batch of one, decoded on the stack.
+		var one [1]readReq
+		one[0] = readReq{addr: region.GAddr(req.U64()), n: int64(req.U32())}
 		if err := req.Err(); err != nil {
 			return nil, err
 		}
-		if n < 0 || addr.Offset()+n > s.cfg.PoolBytes {
-			return nil, fmt.Errorf("tcpnet: read [%d,%d) out of pool", addr.Offset(), addr.Offset()+n)
-		}
-		// Bound the reply frame up front: a read the pool can satisfy may
-		// still not fit a frame, and that must come back as an error frame,
-		// not reach stampFrame and sever the whole connection.
-		if frameHeader+4+n+1 > maxFrame {
-			return nil, fmt.Errorf("tcpnet: read of %d bytes exceeds max frame", n)
-		}
-		// The reply layout is blob(len u32, data) + source u8; the engine
-		// fills the pool bytes directly into the frame that hits the
-		// socket — no intermediate payload copy.
-		f := s.frames.get(frameHeader + 4 + int(n) + 1)
-		b := *f
-		binary.BigEndian.PutUint32(b[frameHeader:], uint32(n))
-		out := b[frameHeader+4 : frameHeader+4+int(n)]
-		sp.SetTarget(uint64(addr), int(n))
-		sp.Mark(span.StageDispatch)
-		// Read-your-writes: overlay this session's staged-but-unflushed
-		// records, exactly as the RDMA client library does — pinned from
-		// before the read (see proxy.Writer.Pin).
-		if sess.writer != nil {
-			sess.writer.Pin()
-		}
-		_, src, err := s.eng.ReadAt(s.eng.Now(), addr, out)
-		if sess.writer != nil {
-			sess.writer.ApplyPending(addr, out)
-			sess.writer.Unpin()
-		}
+		sp.SetTarget(uint64(one[0].addr), int(one[0].n))
+		return s.readChain(sess, one[:], false, sp)
+
+	case OpReadBatch:
+		n, err := req.Count(readRecordMin)
 		if err != nil {
-			s.frames.put(f)
 			return nil, err
 		}
-		b[frameHeader+4+int(n)] = byte(src)
-		switch src {
-		case engine.ReadHitLocal:
-			sp.Mark(span.StageCacheHit)
-		case engine.ReadHitPeer:
-			sp.Mark(span.StagePeerRead)
-		default:
-			sp.Mark(span.StageNVMCopy)
+		var small [stackBatch]readReq
+		reqs := batchOf(small[:], n)
+		for i := range reqs {
+			reqs[i] = readReq{addr: region.GAddr(req.U64()), n: int64(req.U32())}
 		}
-		sess.observe(addr, false)
-		s.txBytes.Add(n)
-		return f, nil
+		if err := req.Err(); err != nil {
+			return nil, err
+		}
+		return s.readChain(sess, reqs, true, sp)
 
 	case OpWrite:
 		// A lone write is a chain of one, decoded on the stack.
@@ -695,7 +737,8 @@ func (s *PoolServer) serve(sess *session, op Op, req *payloadReader, sp *span.Sp
 		if err != nil {
 			return nil, err
 		}
-		reqs := make([]proxy.StageReq, n)
+		var small [stackBatch]proxy.StageReq
+		reqs := batchOf(small[:], n)
 		for i := range reqs {
 			reqs[i].Addr = region.GAddr(req.U64())
 			reqs[i].Data = req.Blob()
@@ -724,16 +767,16 @@ func (s *PoolServer) serve(sess *session, op Op, req *payloadReader, sp *span.Sp
 		if err := req.Err(); err != nil {
 			return nil, err
 		}
-		if lease <= 0 {
+		// DefaultLease bounds every grant, whatever the client asks for:
+		// a client that dies holding a lock wedges the object that long.
+		if lease <= 0 || lease > s.cfg.DefaultLease {
 			lease = s.cfg.DefaultLease
 		}
-		if op == OpLockEx {
-			err = s.eng.Leases().LockExclusive(sess.id, addr, lease, s.cfg.AcquireTimeout)
-		} else {
-			err = s.eng.Leases().LockShared(sess.id, addr, lease, s.cfg.AcquireTimeout)
+		if !s.eng.Leases().TryLock(sess.id, addr, op == OpLockSh, lease) {
+			return nil, &lockWait{s: s, session: sess.id, op: op, addr: addr, lease: lease}
 		}
 		sp.Mark(span.StageLockWait)
-		return nil, err
+		return nil, nil
 
 	case OpUnlockEx:
 		addr, err := s.homeAddr(req)
@@ -885,6 +928,128 @@ func (s *PoolServer) writeChain(sess *session, reqs []proxy.StageReq, sp *span.S
 	for _, r := range reqs {
 		sess.observe(r.Addr, true)
 		s.rxBytes.Add(int64(len(r.Data)))
+	}
+	return nil
+}
+
+// readReq is one decoded record of a read frame.
+type readReq struct {
+	addr region.GAddr
+	n    int64
+	err  error // why the record failed; nil once served
+}
+
+// readChain serves a decoded read chain — the one read body of the TCP
+// mount, for a lone OpRead (batch false) and an OpReadBatch alike. Every
+// record is checked and sized before the reply frame is taken, so a
+// reply that cannot fit a frame comes back as an error frame instead of
+// reaching stampFrame and severing the connection. The session's staged
+// writes are pinned once for the frame (see proxy.Writer.Pin) and each
+// record is read straight into its wire position, overlaid with them —
+// read-your-writes, as the RDMA client library does it — and observed
+// for hotness. A batch answers every record with its own status, so one
+// bad record fails alone; a lone read's failure is the frame's.
+//
+//gengar:hotpath
+func (s *PoolServer) readChain(sess *session, reqs []readReq, batch bool, sp *span.Span) (*[]byte, error) {
+	size := 0
+	for i := range reqs {
+		r := &reqs[i]
+		r.err = s.checkRead(r.addr, r.n)
+		switch {
+		case r.err == nil:
+			size += 4 + int(r.n) + 1
+		case !batch:
+			return nil, r.err
+		default:
+			size += 2 + len(r.err.Error())
+		}
+		if batch {
+			size++ // the record's status byte
+		}
+		if frameHeader+size > maxFrame {
+			return nil, fmt.Errorf("tcpnet: read reply would exceed the %d-byte max frame", maxFrame)
+		}
+	}
+	f := s.frames.get(frameHeader + size)
+	var w payloadWriter
+	w.Reset((*f)[:frameHeader])
+	sp.Mark(span.StageDispatch)
+	now := s.eng.Now()
+	if sess.writer != nil {
+		sess.writer.Pin()
+	}
+	var failed error
+	for i := range reqs {
+		r := &reqs[i]
+		if r.err == nil {
+			r.err = s.readRecord(sess, &w, now, r, batch, sp)
+		}
+		if r.err == nil {
+			continue
+		}
+		if !batch {
+			failed = r.err
+			break
+		}
+		s.failures.Inc()
+		w.U8(statusErr).Str(r.err.Error())
+	}
+	if sess.writer != nil {
+		sess.writer.Unpin()
+	}
+	*f = w.Bytes()
+	if failed == nil && len(*f) > maxFrame { // a record that failed late outgrew its sizing
+		failed = fmt.Errorf("tcpnet: read reply would exceed the %d-byte max frame", maxFrame)
+	}
+	if failed != nil {
+		s.frames.put(f)
+		return nil, failed
+	}
+	return f, nil
+}
+
+// readRecord appends one checked record's reply to w — status (batch
+// only), then blob and source byte — with the engine filling the blob's
+// data in place. On failure w is left as it was.
+//
+//gengar:hotpath
+func (s *PoolServer) readRecord(sess *session, w *payloadWriter, now simnet.Time, r *readReq, batch bool, sp *span.Span) error {
+	mark := len(w.Bytes())
+	if batch {
+		w.U8(statusOK)
+	}
+	out := w.U32(uint32(r.n)).Extend(int(r.n))
+	_, src, err := s.eng.ReadAt(now, r.addr, out)
+	if err != nil {
+		w.Reset(w.Bytes()[:mark])
+		return err
+	}
+	if sess.writer != nil {
+		sess.writer.ApplyPending(r.addr, out)
+	}
+	w.U8(byte(src))
+	switch src {
+	case engine.ReadHitLocal:
+		sp.Mark(span.StageCacheHit)
+	case engine.ReadHitPeer:
+		sp.Mark(span.StagePeerRead)
+	default:
+		sp.Mark(span.StageNVMCopy)
+	}
+	sess.observe(r.addr, false)
+	s.txBytes.Add(r.n)
+	return nil
+}
+
+// checkRead refuses a read record that is not homed here or runs past
+// the pool.
+func (s *PoolServer) checkRead(addr region.GAddr, n int64) error {
+	if addr.Server() != s.cfg.ID {
+		return fmt.Errorf("tcpnet: %v not homed on server %d", addr, s.cfg.ID)
+	}
+	if addr.Offset()+n > s.cfg.PoolBytes {
+		return fmt.Errorf("tcpnet: read [%d,%d) out of pool", addr.Offset(), addr.Offset()+n)
 	}
 	return nil
 }

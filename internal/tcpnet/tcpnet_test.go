@@ -296,25 +296,40 @@ func TestSharedLocksAndWriterExclusion(t *testing.T) {
 	}
 }
 
+// TestLeaseRecoversCrashedHolder: a client that dies holding a lock
+// wedges its object only until the lease lapses — the one it asked for,
+// or the daemon's DefaultLease when it asked for more.
 func TestLeaseRecoversCrashedHolder(t *testing.T) {
-	addrs := startServers(t, 1, func(c *ServerConfig) {
-		c.AcquireTimeout = 2 * time.Second
-	})
-	victim := dialPool(t, addrs)
-	victim.SetLease(100 * time.Millisecond)
-	addr, _ := victim.Malloc(64)
-	if err := victim.LockExclusive(addr); err != nil {
-		t.Fatal(err)
-	}
-	victim.Close() // "crash" while holding the lock
+	for _, tc := range []struct {
+		name          string
+		defaultLease  time.Duration // the daemon's bound; 0 selects 5s
+		victimRequest time.Duration
+	}{
+		{"client lease", 0, 100 * time.Millisecond},
+		{"request clamped to DefaultLease", 100 * time.Millisecond, time.Hour},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs := startServers(t, 1, func(c *ServerConfig) {
+				c.AcquireTimeout = 2 * time.Second
+				c.DefaultLease = tc.defaultLease
+			})
+			victim := dialPool(t, addrs)
+			victim.SetLease(tc.victimRequest)
+			addr, _ := victim.Malloc(64)
+			if err := victim.LockExclusive(addr); err != nil {
+				t.Fatal(err)
+			}
+			victim.Close() // "crash" while holding the lock
 
-	survivor := dialPool(t, addrs)
-	start := time.Now()
-	if err := survivor.LockExclusive(addr); err != nil {
-		t.Fatalf("lease steal failed: %v", err)
-	}
-	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("lease recovery took %v", waited)
+			survivor := dialPool(t, addrs)
+			start := time.Now()
+			if err := survivor.LockExclusive(addr); err != nil {
+				t.Fatalf("lease steal failed: %v", err)
+			}
+			if waited := time.Since(start); waited > time.Second {
+				t.Fatalf("lease recovery took %v", waited)
+			}
+		})
 	}
 }
 

@@ -29,12 +29,15 @@ import (
 // Op identifies a request type on the wire.
 type Op uint8
 
-// Wire operations.
+// Wire operations. A request that fails as a whole is answered with an
+// error frame (statusErr, message as payload); an OpReadBatch reply
+// instead carries a status per record, so one bad record fails alone.
+// leaseMs is clamped to the daemon's DefaultLease (0 selects it).
 const (
 	OpHello      Op = iota + 1 // -> serverID u16, poolBytes i64, features u8
 	OpMalloc                   // size i64 -> gaddr u64
 	OpFree                     // gaddr u64
-	OpRead                     // gaddr u64, len u32 -> blob, hit u8
+	OpRead                     // gaddr u64, len u32 -> blob, source u8
 	OpWrite                    // gaddr u64, blob
 	OpLockEx                   // gaddr u64, leaseMs u32
 	OpUnlockEx                 // gaddr u64
@@ -55,6 +58,11 @@ const (
 	OpPeerWrite   // off i64, gen u64, delta i64, blob
 	OpPeerRead    // off i64, gen u64, delta i64, len u32 -> blob
 	OpPeerRelease // off i64, gen u64
+
+	// OpReadBatch is a ReadMulti's share for one home: n u32,
+	// n x (gaddr u64, len u32) -> n x (statusOK u8, blob, source u8 |
+	// statusErr u8, message str), in request order.
+	OpReadBatch
 )
 
 // OpHello feature bits.
@@ -102,6 +110,8 @@ func (o Op) String() string {
 		return "peer_read"
 	case OpPeerRelease:
 		return "peer_release"
+	case OpReadBatch:
+		return "read_batch"
 	default:
 		return fmt.Sprintf("op%d", uint8(o))
 	}
@@ -423,10 +433,10 @@ func (r *frameReader) frameBuffered() bool {
 // hands the batch to the kernel as one Write (one frame) or one writev
 // (several), recycles the frames and repeats until the queue is empty.
 // Whoever enqueues meanwhile only appends, so concurrent callers and
-// parked handlers coalesce into the flusher's next writev. A sender that
-// knows more frames follow corks the queue (the daemon's reader while a
-// whole further request is buffered, the client around a ReadMulti
-// chain) and flushes them together when it uncorks.
+// parked handlers coalesce into the flusher's next writev. The daemon's
+// reader, knowing more frames follow while a whole further request is
+// buffered, corks the queue and flushes their replies together when it
+// uncorks. A client never corks: a batched call is one frame per home.
 //
 // mu is never held across the write. A flusher keeps draining what other
 // goroutines appended while it was in the syscall — at most one frame

@@ -177,6 +177,18 @@ func TestUnsampledTracingAddsNoAllocs(t *testing.T) {
 	}
 }
 
+// TestBatchedCallsAllocateNothing gates an untraced 4-record ReadMulti
+// and WriteMulti to one home at zero allocations per call in steady
+// state, client and daemon together (the daemon runs in this process):
+// the client groups records by home on the stack and the daemon decodes
+// a small batch frame into a stack array.
+func TestBatchedCallsAllocateNothing(t *testing.T) {
+	_, _, readMulti, writeMulti := measureOpAllocs(t, allocPool(t))
+	if readMulti != 0 || writeMulti != 0 {
+		t.Fatalf("ReadMulti %.1f, WriteMulti %.1f allocs/call; want 0 each", readMulti, writeMulti)
+	}
+}
+
 func TestWriteRoundTripAllocs(t *testing.T) {
 	p := allocPool(t)
 	a, err := p.Malloc(256)

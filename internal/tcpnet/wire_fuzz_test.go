@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"gengar/internal/region"
 )
 
 // tracedSeed builds one complete wire frame carrying a trace extension
@@ -112,5 +114,72 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			pool.put(frame)
 		}
+	})
+}
+
+// FuzzHandleBatch feeds arbitrary OpReadBatch and OpWriteBatch payloads
+// through the daemon's request handler on a live session. The handler
+// must never panic, and must either fail the request or answer with a
+// frame that fits the wire — for a read batch, one well-formed record
+// per record requested, each with its own status.
+func FuzzHandleBatch(f *testing.F) {
+	srv, err := NewPoolServer(ServerConfig{ID: 1, PoolBytes: 1 << 20})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
+	sess := srv.openSession()
+	f.Cleanup(sess.close)
+
+	home := func(off int64) uint64 { return uint64(region.MustGAddr(1, off)) }
+	seed := func(read bool, fill func(w *payloadWriter)) {
+		var w payloadWriter
+		fill(&w)
+		f.Add(read, w.Bytes())
+	}
+	seed(true, func(w *payloadWriter) { w.U32(2).U64(home(0)).U32(16).U64(home(4096)).U32(8) })
+	seed(true, func(w *payloadWriter) {
+		w.U32(3).U64(home(0)).U32(8).U64(uint64(region.MustGAddr(2, 0))).U32(8).U64(home(1<<20 - 4)).U32(8)
+	})
+	seed(true, func(w *payloadWriter) { w.U32(2).U64(home(0)).U32(maxFrame / 2).U64(home(0)).U32(maxFrame / 2) })
+	seed(true, func(w *payloadWriter) { w.U32(1 << 31) })
+	seed(false, func(w *payloadWriter) { w.U32(2).U64(home(64)).Blob([]byte("abc")).U64(home(128)).Blob(nil) })
+	seed(false, func(w *payloadWriter) { w.U32(1).U64(home(1<<20 - 2)).Blob([]byte("overrun")) })
+	seed(false, func(w *payloadWriter) { w.U32(5).U64(home(0)) })
+
+	f.Fuzz(func(t *testing.T, read bool, payload []byte) {
+		op := OpWriteBatch
+		if read {
+			op = OpReadBatch
+		}
+		resp, err := srv.handle(sess, op, newPayloadReader(payload), nil)
+		if err != nil {
+			if resp != nil {
+				t.Fatalf("%v failed (%v) and still answered a frame", op, err)
+			}
+			return
+		}
+		if !read {
+			if resp != nil {
+				t.Fatalf("write batch answered a %d-byte payload, want none", len(*resp)-frameHeader)
+			}
+			return
+		}
+		if resp == nil || len(*resp) > maxFrame {
+			t.Fatal("read batch answered no frame, or one larger than maxFrame")
+		}
+		reply := newPayloadReader((*resp)[frameHeader:])
+		for n := newPayloadReader(payload).U32(); n > 0; n-- {
+			if reply.U8() == statusOK {
+				reply.Blob()
+				reply.U8()
+			} else {
+				reply.Str()
+			}
+		}
+		if reply.Err() != nil || reply.Len() != 0 {
+			t.Fatalf("read batch reply does not hold one record per request: %v, %d bytes left", reply.Err(), reply.Len())
+		}
+		srv.frames.put(resp)
 	})
 }

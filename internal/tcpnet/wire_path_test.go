@@ -295,9 +295,9 @@ func TestFrameQueueConcurrentEnqueue(t *testing.T) {
 
 // TestFrameQueueChainIsOneWrite counts write calls with the flush
 // histograms (one observation per Write or writev; a wrapping net.Conn
-// cannot see a writev): a ReadMulti of 8 leaves the client in one, its 8
-// replies leave the daemon in one, and a WriteMulti of 8 records to one
-// home is one frame in one write — while each lone op is its own.
+// cannot see a writev): a ReadMulti or a WriteMulti of 8 records to one
+// home is one frame in one write each way — while each lone op is its
+// own.
 func TestFrameQueueChainIsOneWrite(t *testing.T) {
 	srv, addr := startTracedServer(t, nil)
 	p := dialPool(t, []string{addr})
@@ -335,11 +335,11 @@ func TestFrameQueueChainIsOneWrite(t *testing.T) {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
-	if n, most := client.Count(), int64(client.Max()); n != 2 || most != k {
-		t.Fatalf("ReadMulti: %d client writes in all, largest %d frames; want 2 and %d", n, most, k)
+	if n, most := client.Count(), int64(client.Max()); n != 2 || most != 1 {
+		t.Fatalf("ReadMulti: %d client writes in all, largest %d frames; want 2 writes of one frame", n, most)
 	}
-	if n, most := srv.framesPerFlush.Count()-replies, int64(srv.framesPerFlush.Max()); n != 1 || most != k {
-		t.Fatalf("ReadMulti: its replies left the daemon in %d writes, largest %d frames; want 1 and %d", n, most, k)
+	if n, most := srv.framesPerFlush.Count()-replies, int64(srv.framesPerFlush.Max()); n != 1 || most != 1 {
+		t.Fatalf("ReadMulti: its reply left the daemon in %d writes, largest %d frames; want one write of one frame", n, most)
 	}
 	replies = srv.framesPerFlush.Count()
 	if err := p.Read(base, reads[0].Buf); err != nil {
@@ -579,6 +579,47 @@ func TestOversizedBatchCountKeepsConnAlive(t *testing.T) {
 		}
 		if err := p.Read(a, make([]byte, 64)); err != nil {
 			t.Fatalf("read after write batch with count %#x: %v", count, err)
+		}
+	}
+}
+
+// TestOversizedReadBatchKeepsConnAlive: an OpReadBatch whose count its
+// payload cannot hold, or whose records would sum to a reply larger than
+// a frame, is answered with an error frame before anything is sized by
+// it — on a connection that keeps serving.
+func TestOversizedReadBatchKeepsConnAlive(t *testing.T) {
+	p := dialPool(t, startServers(t, 1, func(c *ServerConfig) { c.PoolBytes = 32 << 20 }))
+	a, err := p.Malloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := p.connByID(a.Server())
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := uint32(maxFrame/2 + 1) // each record fits the pool; two overflow a reply frame
+	for _, tc := range []struct {
+		name    string
+		payload func(w *payloadWriter)
+	}{
+		{"count 1<<31", func(w *payloadWriter) { w.U32(1 << 31) }},
+		{"summed length above maxFrame", func(w *payloadWriter) {
+			w.U32(2).U64(uint64(a)).U32(half).U64(uint64(a)).U32(half)
+		}},
+	} {
+		var w payloadWriter
+		f := sc.frames.newFrame(&w, 28)
+		tc.payload(&w)
+		err := sc.call(f, &w, OpReadBatch, nil)
+		var re *RemoteError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s: got %v, want RemoteError", tc.name, err)
+		}
+		if sc.dead() {
+			t.Fatalf("%s severed the connection", tc.name)
+		}
+		if err := p.ReadMulti([]ReadReq{{Addr: a, Buf: make([]byte, 64)}}); err != nil {
+			t.Fatalf("ReadMulti after %s: %v", tc.name, err)
 		}
 	}
 }
