@@ -111,7 +111,7 @@ func TestBothMountsStageTheSameDigests(t *testing.T) {
 			if got, want := m.engine.Stats().Digests, int64(accesses/hotnessDigestEvery); got != want {
 				t.Errorf("%d digests for %d accesses, want %d", got, accesses, want)
 			}
-			_, promoted := m.engine.RemapSnapshot()
+			_, promoted := m.engine.Remap().Snapshot()
 			if _, ok := promoted[objs[0]]; !ok || len(promoted) != 1 {
 				t.Errorf("promoted %v, want only the hot object %v", promoted, objs[0])
 			}

@@ -9,7 +9,8 @@ import (
 // lockAcrossBlocking flags critical sections in the pool's guarded
 // layers (rdma, proxy, lock, cache, server, core, rpc, tcpnet) that
 // hold a sync.Mutex or sync.RWMutex across a wall-clock blocking
-// operation: a channel send/receive, a call into tcpnet or rpc, a
+// operation: a channel send/receive, a call into tcpnet or rpc (other
+// than rpc's Writer and Reader codecs), a
 // stdlib net call, an RDMA queue-pair post, a gate advance, a
 // sync.WaitGroup.Wait, or a time.Sleep. A stalled peer inside such a
 // section freezes every other goroutine that touches the lock — the
@@ -329,7 +330,11 @@ func (w *lockWalker) blockingCall(c callee) (string, bool) {
 	case "gengar/internal/tcpnet":
 		return "call into tcpnet", true
 	case "gengar/internal/rpc":
-		return "call into rpc", true
+		// Writer and Reader are in-memory codecs: encoding a table under
+		// its own lock waits on nothing. Calls and dials wait on the peer.
+		if c.recv != "Writer" && c.recv != "Reader" {
+			return "call into rpc", true
+		}
 	case "net":
 		return "net call", true
 	case "time":

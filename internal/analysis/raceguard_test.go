@@ -49,6 +49,14 @@ var raceExcludeAllowlist = map[string]raceSibling{
 		file:    "internal/proxy/coalesce_test.go",
 		symbols: []string{"sortByNVMOff", "runSpan", "assembleRun"},
 	},
+	"internal/rpc/alloc_test.go": {
+		file:    "internal/rpc/rpc_test.go",
+		symbols: []string{"Call"},
+	},
+	"internal/simnet/gate_alloc_test.go": {
+		file:    "internal/simnet/gate_test.go",
+		symbols: []string{"Join", "Advance"},
+	},
 }
 
 // TestRaceGuardAudit walks every Go file in the module and fails if a

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gengar/internal/rdma"
+	"gengar/internal/rpc"
 	"gengar/internal/simnet"
 )
 
@@ -14,6 +15,8 @@ type pool struct {
 	mu  sync.Mutex
 	rw  sync.RWMutex
 	qp  *rdma.QP
+	ctl *rpc.Client
+	rx  rpc.Writer
 	ch  chan int
 	buf []byte
 
@@ -125,4 +128,21 @@ func (p *pool) rangeOverChannel() {
 	for v := range p.ch { // want "p.mu held across range over channel"
 		_ = v
 	}
+}
+
+// rpcCallUnderLock waits on the server for the reply.
+func (p *pool) rpcCallUnderLock(at simnet.Time) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	_, _, _ = p.ctl.Call(at, 1, p.buf, &p.rx) // want "p.mu held across call into rpc"
+}
+
+// rpcCodecUnderLock encodes and decodes in memory: no finding.
+func (p *pool) rpcCodecUnderLock() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.rx.U64(7)
+	var r rpc.Reader
+	r.Reset(p.rx.Bytes())
+	return r.U64()
 }

@@ -63,10 +63,18 @@ func (l Location) Encode(w *rpc.Writer) {
 	w.Str(l.Node).U32(l.RKey).I64(l.Off).I64(l.Size).U64(l.Gen).U32(l.HomeMR)
 }
 
-// DecodeLocation consumes a location from a wire payload.
-func DecodeLocation(r *rpc.Reader) Location {
+// DecodeLocation consumes a location from a wire payload. The node name
+// is looked up in names by its wire bytes, so a name seen before costs
+// no allocation; a new one is added.
+func DecodeLocation(r *rpc.Reader, names map[string]string) Location {
+	b := r.StrBytes()
+	node, ok := names[string(b)]
+	if !ok {
+		node = string(b)
+		names[node] = node
+	}
 	return Location{
-		Node:   r.Str(),
+		Node:   node,
 		RKey:   r.U32(),
 		Off:    r.I64(),
 		Size:   r.I64(),
@@ -264,8 +272,8 @@ func (t *RemapTable) Apply(add map[region.GAddr]Location, remove []region.GAddr)
 	return released
 }
 
-// Snapshot returns the epoch and all entries, for shipping to clients.
-// The returned map is a defensive copy.
+// Snapshot returns the epoch and a copy of all entries. Clients are sent
+// EncodeSnapshot's form; this one is what tests check the table against.
 func (t *RemapTable) Snapshot() (uint64, map[region.GAddr]Location) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -277,6 +285,23 @@ func (t *RemapTable) Snapshot() (uint64, map[region.GAddr]Location) {
 		}
 	}
 	return t.epoch.Load(), out
+}
+
+// EncodeSnapshot appends the epoch and all entries to a wire payload,
+// for shipping to clients: epoch u64, count u32, then count × (base u64,
+// Location), which ClientView.DecodeSnapshot reads. Like Snapshot it is
+// exactly one epoch's table, and it allocates nothing once w has grown.
+func (t *RemapTable) EncodeSnapshot(w *rpc.Writer) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	w.U64(t.epoch.Load()).U32(uint32(t.n.Load()))
+	b := *t.buckets.Load()
+	for i := range b {
+		for e := b[i].head.Load(); e != nil; e = e.next {
+			w.U64(uint64(e.addr))
+			e.loc.Encode(w)
+		}
+	}
 }
 
 // Len returns the number of promoted objects.

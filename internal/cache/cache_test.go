@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"gengar/internal/alloc"
 	"gengar/internal/hmem"
@@ -19,9 +20,14 @@ func TestLocationWireRoundtrip(t *testing.T) {
 	l := Location{Node: "s2", RKey: 7, Off: 4096, Size: 1024, Gen: 9, HomeMR: 3}
 	var w rpc.Writer
 	l.Encode(&w)
-	got := DecodeLocation(rpc.NewReader(w.Bytes()))
-	if got != l {
-		t.Fatalf("roundtrip: %+v != %+v", got, l)
+	// A node name seen before decodes to the string already held, not to
+	// a new one.
+	names := make(map[string]string)
+	first := DecodeLocation(rpc.NewReader(w.Bytes()), names)
+	again := DecodeLocation(rpc.NewReader(w.Bytes()), names)
+	if first != l || again != l || unsafe.StringData(first.Node) != unsafe.StringData(again.Node) {
+		t.Fatalf("interned roundtrip: %+v, %+v (same name bytes: %v)", first, again,
+			unsafe.StringData(first.Node) == unsafe.StringData(again.Node))
 	}
 }
 
@@ -33,7 +39,7 @@ func TestLocationWireProperty(t *testing.T) {
 		l := Location{Node: node, RKey: rkey, Off: off, Size: size, Gen: gen, HomeMR: home}
 		var w rpc.Writer
 		l.Encode(&w)
-		return DecodeLocation(rpc.NewReader(w.Bytes())) == l
+		return DecodeLocation(rpc.NewReader(w.Bytes()), map[string]string{}) == l
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -164,12 +170,27 @@ func TestRemapTableSnapshot(t *testing.T) {
 	}
 }
 
+// install decodes a snapshot of entries at epoch into v, encoded the way
+// RemapTable.EncodeSnapshot ships it.
+func install(t *testing.T, v *ClientView, epoch uint64, entries map[region.GAddr]Location) {
+	t.Helper()
+	var w rpc.Writer
+	w.U64(epoch).U32(uint32(len(entries)))
+	for base, loc := range entries {
+		w.U64(uint64(base))
+		loc.Encode(&w)
+	}
+	if err := v.DecodeSnapshot(rpc.NewReader(w.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestClientViewLookupContainment(t *testing.T) {
 	v := NewClientView()
 	if _, _, ok := v.Lookup(ga(100), 4); ok {
 		t.Fatal("empty view hit")
 	}
-	v.Replace(3, map[region.GAddr]Location{
+	install(t, v, 3, map[region.GAddr]Location{
 		ga(128): {Node: "s1", Off: 0, Size: 128},
 		ga(512): {Node: "s2", Off: 64, Size: 64},
 	})
@@ -207,13 +228,34 @@ func TestClientViewLookupContainment(t *testing.T) {
 
 func TestClientViewReplaceDiscardsOld(t *testing.T) {
 	v := NewClientView()
-	v.Replace(1, map[region.GAddr]Location{ga(64): {Size: 64}})
-	v.Replace(2, map[region.GAddr]Location{ga(256): {Size: 64}})
+	install(t, v, 1, map[region.GAddr]Location{ga(64): {Size: 64}})
+	install(t, v, 2, map[region.GAddr]Location{ga(256): {Size: 64}})
 	if _, _, ok := v.Lookup(ga(64), 8); ok {
-		t.Fatal("stale entry survived Replace")
+		t.Fatal("stale entry survived DecodeSnapshot")
 	}
 	if _, _, ok := v.Lookup(ga(256), 8); !ok {
 		t.Fatal("new entry missing")
+	}
+	// The third install builds in the first one's buffer: the second's
+	// table must be gone from it, and an older epoch must not install.
+	install(t, v, 3, map[region.GAddr]Location{ga(512): {Size: 64}, ga(1024): {Size: 64}})
+	install(t, v, 1, map[region.GAddr]Location{ga(64): {Size: 64}})
+	if v.Epoch() != 3 || v.Len() != 2 {
+		t.Fatalf("epoch=%d len=%d, want 3 and 2", v.Epoch(), v.Len())
+	}
+	for _, a := range []region.GAddr{ga(64), ga(256)} {
+		if _, _, ok := v.Lookup(a, 8); ok {
+			t.Fatalf("retired entry %v survived", a)
+		}
+	}
+	// A payload that does not decode leaves the view as it was.
+	var w rpc.Writer
+	w.U64(4).U32(1).U64(uint64(ga(2048)))
+	if err := v.DecodeSnapshot(rpc.NewReader(w.Bytes())); err == nil {
+		t.Fatal("truncated snapshot decoded")
+	}
+	if _, _, ok := v.Lookup(ga(512), 8); !ok || v.Epoch() != 3 {
+		t.Fatal("a failed decode changed the view")
 	}
 }
 
@@ -231,8 +273,11 @@ func TestClientViewMatchesTableProperty(t *testing.T) {
 		}
 		rt.Apply(add, nil)
 		v := NewClientView()
-		epoch, snap := rt.Snapshot()
-		v.Replace(epoch, snap)
+		var w rpc.Writer
+		rt.EncodeSnapshot(&w)
+		if v.DecodeSnapshot(rpc.NewReader(w.Bytes())) != nil {
+			return false
+		}
 		for i := 0; i < 32; i++ {
 			base := ga(int64(i) * 128)
 			_, gotBase, ok := v.Lookup(base.Add(63), 1)
@@ -318,6 +363,19 @@ func TestRemapTableMatchesMap(t *testing.T) {
 			for a, loc := range model {
 				if snap[a] != loc {
 					t.Fatalf("round %d: snapshot[%v] = %+v, want %+v", round, a, snap[a], loc)
+				}
+			}
+			// The wire form carries the same table.
+			var w rpc.Writer
+			rt.EncodeSnapshot(&w)
+			v := NewClientView()
+			if err := v.DecodeSnapshot(rpc.NewReader(w.Bytes())); err != nil || v.Epoch() != epoch || v.Len() != len(model) {
+				t.Fatalf("round %d: encoded snapshot decodes to epoch %d with %d entries (%v), want %d with %d",
+					round, v.Epoch(), v.Len(), err, epoch, len(model))
+			}
+			for a, loc := range model {
+				if got, base, ok := v.Lookup(a, loc.Size); !ok || base != a || got != loc {
+					t.Fatalf("round %d: decoded view Lookup(%v) = %+v %v %v, want %+v", round, a, got, base, ok, loc)
 				}
 			}
 		}

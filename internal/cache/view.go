@@ -1,11 +1,14 @@
 package cache
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
 	"gengar/internal/metrics"
 	"gengar/internal/region"
+	"gengar/internal/rpc"
 	"gengar/internal/telemetry"
 )
 
@@ -14,14 +17,29 @@ import (
 // promoted object is redirected to the DRAM copy — so entries are kept
 // sorted by object base address for binary search. It is safe for
 // concurrent use.
+//
+// The view is double-buffered: DecodeSnapshot builds the next table in
+// the buffer the previous install retired and swaps it in, and node
+// names resolve against the names the view has already seen, so a
+// refresh allocates nothing once both buffers have grown.
 type ClientView struct {
 	mu      sync.RWMutex
 	epoch   uint64
-	bases   []region.GAddr // sorted object bases
-	entries map[region.GAddr]Location
+	entries []viewEntry // sorted by base
+
+	// DecodeSnapshot's scratch, also under mu: the table being built and
+	// the node names seen so far.
+	spare []viewEntry
+	names map[string]string
 
 	lookups   metrics.Counter
 	redirects metrics.Counter // lookups that hit a promoted object
+}
+
+// viewEntry is one promoted object: its base address and its copy.
+type viewEntry struct {
+	base region.GAddr
+	loc  Location
 }
 
 // RegisterTelemetry exposes the view's lookup counters and state in reg
@@ -40,7 +58,7 @@ func (v *ClientView) RegisterTelemetry(reg *telemetry.Registry, labels ...teleme
 
 // NewClientView returns an empty view at epoch zero.
 func NewClientView() *ClientView {
-	return &ClientView{entries: make(map[region.GAddr]Location)}
+	return &ClientView{names: make(map[string]string)}
 }
 
 // Epoch returns the epoch of the last installed snapshot.
@@ -50,27 +68,39 @@ func (v *ClientView) Epoch() uint64 {
 	return v.epoch
 }
 
-// Replace installs a full snapshot, discarding the previous view.
-// Snapshots may arrive out of order from concurrent background
-// refreshes; an older epoch never overwrites a newer one (except that
-// epoch 0 installs unconditionally, so tests can reset).
-func (v *ClientView) Replace(epoch uint64, entries map[region.GAddr]Location) {
-	bases := make([]region.GAddr, 0, len(entries))
-	m := make(map[region.GAddr]Location, len(entries))
-	for a, l := range entries {
-		bases = append(bases, a)
-		m[a] = l
+// DecodeSnapshot installs the remap snapshot r carries, in the form
+// RemapTable.EncodeSnapshot writes, discarding the previous view. A
+// payload that does not decode leaves the view as it was. Snapshots may
+// arrive out of order from concurrent background refreshes; an older
+// epoch never overwrites a newer one (except that epoch 0 installs
+// unconditionally, so tests can reset). Lookups wait while it decodes;
+// the sim client serializes both under its own mutex anyway.
+func (v *ClientView) DecodeSnapshot(r *rpc.Reader) error {
+	epoch := r.U64()
+	n, err := r.Count(8 + LocationMinBytes) // base u64 + location
+	if err != nil {
+		return err
 	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if epoch != 0 && epoch < v.epoch {
-		return
+	next := v.spare[:0]
+	for i := 0; i < n; i++ {
+		base := region.GAddr(r.U64())
+		next = append(next, viewEntry{base: base, loc: DecodeLocation(r, v.names)})
 	}
+	v.spare = next
+	if err := r.Err(); err != nil {
+		return err
+	}
+	slices.SortFunc(next, func(a, b viewEntry) int { return cmp.Compare(a.base, b.base) })
+	if epoch != 0 && epoch < v.epoch {
+		return nil
+	}
+	// Lookups copy what they find under mu, so once the swap is made
+	// nothing reads the retired table; the next decode builds in it.
 	v.epoch = epoch
-	v.bases = bases
-	v.entries = m
+	v.entries, v.spare = next, v.entries
+	return nil
 }
 
 // Lookup redirects the byte range [addr, addr+size) to a DRAM copy if a
@@ -80,22 +110,21 @@ func (v *ClientView) Lookup(addr region.GAddr, size int64) (Location, region.GAd
 	v.lookups.Inc()
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	if len(v.bases) == 0 || size < 0 {
+	if len(v.entries) == 0 || size < 0 {
 		return Location{}, region.NilGAddr, false
 	}
 	// Greatest base <= addr.
-	i := sort.Search(len(v.bases), func(i int) bool { return v.bases[i] > addr }) - 1
+	i := sort.Search(len(v.entries), func(i int) bool { return v.entries[i].base > addr }) - 1
 	if i < 0 {
 		return Location{}, region.NilGAddr, false
 	}
-	base := v.bases[i]
-	loc := v.entries[base]
-	span := region.Span{Addr: base, Size: loc.Size}
+	e := &v.entries[i]
+	span := region.Span{Addr: e.base, Size: e.loc.Size}
 	if !span.Contains(addr, size) {
 		return Location{}, region.NilGAddr, false
 	}
 	v.redirects.Inc()
-	return loc, base, true
+	return e.loc, e.base, true
 }
 
 // Len returns the number of entries in the view.

@@ -81,6 +81,13 @@ type Client struct {
 	// touch order, and the WQEs of the direct chain being posted.
 	homes []*serverConn
 	wqes  []rdma.WriteReq
+	// copyBuf is what a cache-hit Read READs the copy's header and
+	// payload into, and tx and rx are every control-plane call's request
+	// and receive buffers (see request). All three are reused under mu
+	// (Connect's session opens run before the client is shared) and grow
+	// to their high-water marks, like ReadMulti's pooled tmps.
+	copyBuf []byte
+	tx, rx  rpc.Writer
 
 	// tracer is the cluster's shared op tracer. Ops mark spans with
 	// explicit simulated instants (StartAt/MarkAt/FinishAt), so both
@@ -158,7 +165,7 @@ func (c *Client) openSession(s *server.Server) (*serverConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, end, err := ctl.Call(c.now, server.KindOpenSession, nil)
+	resp, end, err := ctl.Call(c.now, server.KindOpenSession, nil, &c.rx)
 	if err != nil {
 		ctl.Close()
 		return nil, err
@@ -288,6 +295,13 @@ func (c *Client) AdvanceToFrontier() {
 	c.AdvanceTo(c.cluster.Fabric().Clock().Now())
 }
 
+// request empties and returns the request buffer of the next
+// control-plane call; its reply lands in c.rx. Called with c.mu held.
+func (c *Client) request() *rpc.Writer {
+	c.tx.Reset(c.tx.Bytes()[:0])
+	return &c.tx
+}
+
 func (c *Client) conn(addr region.GAddr) (*serverConn, error) {
 	conn, ok := c.conns[addr.Server()]
 	if !ok {
@@ -308,11 +322,11 @@ func (c *Client) Close() {
 		if conn.writer != nil {
 			conn.writer.Close() // drains staged writes first
 		}
-		var w rpc.Writer
+		w := c.request()
 		w.I64(conn.ringBase)
 		// Best-effort: a failed close just strands one ring until the
 		// server restarts.
-		_, _, _ = conn.ctl.Call(c.now, server.KindCloseSession, w.Bytes())
+		_, _, _ = conn.ctl.Call(c.now, server.KindCloseSession, w.Bytes(), &c.rx)
 		conn.ctl.Close()
 	}
 }

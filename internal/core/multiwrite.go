@@ -7,7 +7,6 @@ import (
 	"gengar/internal/proxy"
 	"gengar/internal/rdma"
 	"gengar/internal/region"
-	"gengar/internal/rpc"
 	"gengar/internal/server"
 	"gengar/internal/simnet"
 	"gengar/internal/telemetry/span"
@@ -146,12 +145,12 @@ func (c *Client) postDirect(conn *serverConn, at simnet.Time) (simnet.Time, erro
 	if c.opts.Cache {
 		// The home server re-reads the just-written NVM ranges and
 		// refreshes any promoted copy; its reply is the coherence point.
-		var w rpc.Writer
+		w := c.request()
 		w.U32(uint32(len(conn.chain)))
 		for _, r := range conn.chain {
 			w.U64(uint64(r.Addr)).U32(uint32(len(r.Data)))
 		}
-		_, rpcEnd, err := conn.ctl.Call(end, server.KindWriteThroughBatch, w.Bytes())
+		_, rpcEnd, err := conn.ctl.Call(end, server.KindWriteThroughBatch, w.Bytes(), &c.rx)
 		if err != nil {
 			return at, fmt.Errorf("write-through: %w", err)
 		}

@@ -3,12 +3,12 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"gengar/internal/cache"
 	"gengar/internal/hotness"
 	"gengar/internal/rdma"
 	"gengar/internal/region"
-	"gengar/internal/rpc"
 	"gengar/internal/server"
 	"gengar/internal/simnet"
 	"gengar/internal/telemetry/span"
@@ -46,9 +46,9 @@ func (c *Client) mallocOn(serverID uint16, size int64) (region.GAddr, error) {
 	if !ok {
 		return region.NilGAddr, fmt.Errorf("%w: server %d", ErrUnknownServer, serverID)
 	}
-	var w rpc.Writer
+	w := c.request()
 	w.I64(size)
-	resp, end, err := conn.ctl.Call(c.now, server.KindMalloc, w.Bytes())
+	resp, end, err := conn.ctl.Call(c.now, server.KindMalloc, w.Bytes(), &c.rx)
 	if err != nil {
 		return region.NilGAddr, err
 	}
@@ -77,9 +77,9 @@ func (c *Client) Free(addr region.GAddr) error {
 			c.now = t
 		}
 	}
-	var w rpc.Writer
+	w := c.request()
 	w.U64(uint64(addr))
-	_, end, err := conn.ctl.Call(c.now, server.KindFree, w.Bytes())
+	_, end, err := conn.ctl.Call(c.now, server.KindFree, w.Bytes(), &c.rx)
 	if err != nil {
 		return err
 	}
@@ -120,7 +120,9 @@ func (c *Client) Read(addr region.GAddr, buf []byte) error {
 // readAt performs the redirected read at the given simulated instant.
 // sp (may be nil) gets the serving stage marked at the transfer's
 // completion instant: cacheHit for a DRAM-copy read, nvmCopy for the
-// home-NVM path.
+// home-NVM path. Called with c.mu held.
+//
+//gengar:hotpath
 func (c *Client) readAt(conn *serverConn, at simnet.Time, addr region.GAddr, buf []byte, sp *span.Span) (simnet.Time, error) {
 	var end simnet.Time
 	served := false
@@ -159,14 +161,20 @@ func (c *Client) readAt(conn *serverConn, at simnet.Time, addr region.GAddr, buf
 // readCopy attempts to serve a read from a DRAM copy. It reads from the
 // copy's generation header through the end of the requested range in one
 // one-sided READ and validates the generation stamp; a mismatch means
-// the client's remap view is stale and the slot was reused.
+// the client's remap view is stale and the slot was reused. The READ
+// lands in c.copyBuf, the client's own scratch, and only the requested
+// range is copied out of it. Called with c.mu held.
+//
+//gengar:hotpath
 func (c *Client) readCopy(at simnet.Time, loc cache.Location, base, addr region.GAddr, buf []byte) (simnet.Time, bool) {
 	qp, err := c.qpToNode(loc.Node)
 	if err != nil {
 		return at, false
 	}
 	delta := addr.Offset() - base.Offset()
-	tmp := make([]byte, cache.CopyHeaderBytes+delta+int64(len(buf)))
+	n := int(cache.CopyHeaderBytes + delta + int64(len(buf)))
+	c.copyBuf = slices.Grow(c.copyBuf[:0], n)
+	tmp := c.copyBuf[:n]
 	end, err := qp.Read(at, tmp, rdma.RemoteAddr{
 		Region: rdma.RegionHandle{Node: loc.Node, RKey: loc.RKey},
 		Offset: loc.Off,
@@ -214,14 +222,17 @@ func (c *Client) observe(conn *serverConn, addr region.GAddr, write bool) {
 
 // digestExchange sends one digest and refreshes the remap view if the
 // server's epoch moved. It must not touch c.now: in simulated time it is
-// off the client's critical path.
+// off the client's critical path. Called with c.mu held: the digest is
+// encoded into c.tx and its reply lands in c.rx.
+//
+//gengar:hotpath
 func (c *Client) digestExchange(conn *serverConn, at simnet.Time, entries []hotness.Entry) {
-	var w rpc.Writer
+	w := c.request()
 	w.U32(uint32(len(entries)))
 	for _, e := range entries {
 		w.U64(uint64(e.Addr)).U32(uint32(e.Reads)).U32(uint32(e.Writes))
 	}
-	resp, end, err := conn.ctl.Call(at, server.KindDigest, w.Bytes())
+	resp, end, err := conn.ctl.Call(at, server.KindDigest, w.Bytes(), &c.rx)
 	if err != nil {
 		return // digest loss is harmless; the next epoch retries
 	}
@@ -232,34 +243,25 @@ func (c *Client) digestExchange(conn *serverConn, at simnet.Time, entries []hotn
 	c.refreshView(conn, end)
 }
 
-// refreshView fetches the full remap table and installs it; it runs off
-// the critical path and does not touch c.now.
+// refreshView fetches the full remap table into c.rx and decodes it
+// straight into the view; it runs off the critical path and does not
+// touch c.now. Called with c.mu held.
+//
+//gengar:hotpath
 func (c *Client) refreshView(conn *serverConn, at simnet.Time) {
-	resp, _, err := conn.ctl.Call(at, server.KindRemapFetch, nil)
+	resp, _, err := conn.ctl.Call(at, server.KindRemapFetch, nil, &c.rx)
 	if err != nil {
 		return
 	}
-	epoch := resp.U64()
-	n, err := resp.Count(8 + cache.LocationMinBytes) // base u64 + location
-	if err != nil {
-		return
-	}
-	entries := make(map[region.GAddr]cache.Location, n)
-	for i := 0; i < n; i++ {
-		base := region.GAddr(resp.U64())
-		loc := cache.DecodeLocation(resp)
-		if resp.Err() != nil {
-			return
-		}
-		entries[base] = loc
-	}
-	conn.view.Replace(epoch, entries)
+	// A table that does not decode leaves the view as it was; the next
+	// epoch change fetches it again.
+	_ = conn.view.DecodeSnapshot(&resp)
 }
 
 // syncView flushes whatever conn has staged as one digest and refreshes
 // the remap view. With nothing staged it still sends the (empty) digest:
 // its reply is how the client learns the home's epoch. Nothing is sent
-// while the cache is off.
+// while the cache is off. Called with c.mu held, like every digest.
 func (c *Client) syncView(conn *serverConn, at simnet.Time) {
 	if !c.opts.Cache {
 		return
@@ -297,18 +299,12 @@ func (c *Client) Flush() error {
 // benchmark harness establishes after warm-up.
 func (c *Client) SyncAllViews() error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return ErrClosed
 	}
-	conns := make([]*serverConn, 0, len(c.conns))
 	for _, conn := range c.conns {
-		conns = append(conns, conn)
-	}
-	at := c.now
-	c.mu.Unlock()
-	for _, conn := range conns {
-		c.syncView(conn, at)
+		c.syncView(conn, c.now)
 	}
 	return nil
 }
@@ -318,17 +314,14 @@ func (c *Client) SyncAllViews() error {
 // applications that just changed their access pattern.
 func (c *Client) SyncView(addr region.GAddr) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return ErrClosed
 	}
 	conn, err := c.conn(addr)
 	if err != nil {
-		c.mu.Unlock()
 		return err
 	}
-	at := c.now
-	c.mu.Unlock()
-	c.syncView(conn, at)
+	c.syncView(conn, c.now)
 	return nil
 }

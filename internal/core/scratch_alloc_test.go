@@ -1,9 +1,11 @@
 //go:build !race
 
-// Allocation-regression tests: the vectored data-path ops run from
-// pooled scratch, so their steady state must not allocate per entry.
-// The race detector instruments allocations, so these run only in
-// normal builds.
+// Allocation gates for the sim mount: in steady state every data-path op
+// and the digest/remap control path allocate nothing. Each op runs from
+// scratch the client reuses (ReadMulti's pooled tmps, the write chain's
+// grouping slices, the cache-hit copy buffer, the control-plane request
+// and receive buffers, the view's spare table). The race detector
+// instruments allocations, so these run only in normal builds.
 
 package core
 
@@ -12,66 +14,206 @@ import (
 	"testing"
 
 	"gengar/internal/config"
+	"gengar/internal/hotness"
 	"gengar/internal/region"
+	"gengar/internal/rpc"
+	"gengar/internal/server"
 )
 
-func TestReadMultiCachedSteadyStateAllocs(t *testing.T) {
-	// Promote one object, then hammer it with vectored cached reads. Each
-	// entry needs a header+payload staging buffer; those come from the
-	// scratch pool, so allocations must stay far below one per entry.
+const (
+	allocObjects  = 8 // promoted objects, and as many never observed
+	allocObjBytes = 512
+	allocServers  = 4
+)
+
+// allocFixture is a sim cluster whose client has allocObjects promoted
+// objects in its views and allocObjects that were never observed, homed
+// round-robin over allocServers servers. Copies are placed on the
+// servers with the most free buffer space, so a ReadMulti of all of them
+// posts a chain of about four records to each node: no chain is longer
+// than the eight WQEs rdma validates from a stack array. Digests go out
+// only where a test sends one.
+type allocFixture struct {
+	c     *server.Cluster
+	cl    *Client
+	addrs []region.GAddr // hot, then cold
+	hot   []region.GAddr // promoted: reads hit their DRAM copies
+	cold  []region.GAddr // never observed: reads go to home NVM
+	bufs  [][]byte
+	one   []byte
+}
+
+func newAllocFixture(t *testing.T, sample int) *allocFixture {
+	t.Helper()
 	cfg := testConfig()
-	cfg.Servers = 1
-	cfg.Hotness.DigestEvery = 1 << 30 // keep digest traffic out of the loop
+	cfg.Servers = allocServers
+	cfg.Hotness.DigestEvery = 1 << 30
 	c := newTestCluster(t, cfg)
-	cl := connect(t, c, "u1")
-	a, _ := cl.Malloc(512)
-	if err := cl.Write(a, bytes.Repeat([]byte{0x5a}, 512)); err != nil {
+	c.Tracer().SetSampleEvery(sample)
+	fx := &allocFixture{c: c, cl: connect(t, c, "u1"), one: make([]byte, allocObjBytes)}
+	for i := 0; i < 2*allocObjects; i++ {
+		a, err := fx.cl.Malloc(allocObjBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx.addrs = append(fx.addrs, a)
+		fx.bufs = append(fx.bufs, bytes.Repeat([]byte{byte(i)}, allocObjBytes))
+	}
+	fx.hot, fx.cold = fx.addrs[:allocObjects], fx.addrs[allocObjects:]
+	if err := fx.cl.WriteMulti(fx.hot, fx.bufs[:allocObjects]); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 512)
 	for i := 0; i < 32; i++ {
-		if err := cl.Read(a, buf); err != nil {
+		for _, a := range fx.hot {
+			if err := fx.cl.Read(a, fx.one); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The first sync reports the reads and the plans promote; the second
+	// fetches the tables the promotions published.
+	for range 2 {
+		for _, s := range c.Registry().Servers() {
+			if err := s.Engine().Barrier(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fx.cl.SyncAllViews(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	settle(t, c, cl, a)
-	settle(t, c, cl, a)
-	srv, _ := c.Registry().ByID(1)
-	if srv.Stats().Promoted == 0 {
-		t.Skip("promotion did not land")
+	for i, a := range fx.addrs {
+		before := fx.cl.Stats().CacheHits
+		if err := fx.cl.Read(a, fx.one); err != nil {
+			t.Fatal(err)
+		}
+		if hit := fx.cl.Stats().CacheHits > before; hit != (i < allocObjects) {
+			t.Fatalf("object %d: cache hit %v, want %v", i, hit, i < allocObjects)
+		}
 	}
+	return fx
+}
 
-	const k = 16
-	addrs := make([]region.GAddr, k)
-	bufs := make([][]byte, k)
-	for i := range addrs {
-		addrs[i] = a
-		bufs[i] = make([]byte, 512)
-	}
-	run := func() {
-		if err := cl.ReadMulti(addrs, bufs); err != nil {
-			t.Fatal(err)
+// simOp names one sim data-path op the gates measure.
+type simOp int
+
+const (
+	opReadHit simOp = iota
+	opReadMiss
+	opWrite
+	opReadMulti
+	opWriteMulti
+)
+
+// simOps are the measured ops, each with the cache hits one call must be
+// served with — so a gate cannot pass by measuring the wrong path.
+var simOps = [...]struct {
+	name string
+	hits int64
+	run  func(fx *allocFixture) error
+}{
+	opReadHit:  {"Read of a promoted object", 1, func(fx *allocFixture) error { return fx.cl.Read(fx.hot[0], fx.one) }},
+	opReadMiss: {"Read miss", 0, func(fx *allocFixture) error { return fx.cl.Read(fx.cold[0], fx.one) }},
+	opWrite:    {"Write", 0, func(fx *allocFixture) error { return fx.cl.Write(fx.cold[0], fx.bufs[0]) }},
+	opReadMulti: {"ReadMulti of 8 cached + 8 uncached records", allocObjects,
+		func(fx *allocFixture) error { return fx.cl.ReadMulti(fx.addrs, fx.bufs) }},
+	opWriteMulti: {"WriteMulti", 0,
+		func(fx *allocFixture) error { return fx.cl.WriteMulti(fx.cold, fx.bufs[allocObjects:]) }},
+}
+
+// allocs runs op in steady state and returns its allocs per call
+// (minAllocs), after checking that one call is served with the op's
+// cache hits.
+func (fx *allocFixture) allocs(t *testing.T, op simOp) float64 {
+	t.Helper()
+	o := simOps[op]
+	f := func() {
+		if err := o.run(fx); err != nil {
+			t.Fatalf("%s: %v", o.name, err)
 		}
 	}
-	run() // warm the scratch pool and per-node groups
-	if hits := cl.Stats().CacheHits; hits < k {
-		t.Skipf("cached path not taken (hits=%d)", hits)
+	for i := 0; i < 16; i++ {
+		f() // every scratch buffer grows to its high-water mark
 	}
-	allocs := testing.AllocsPerRun(50, run)
-	// One chain bookkeeping alloc per call is fine; one per entry is the
-	// regression this guards against.
-	if allocs >= k/2 {
-		t.Fatalf("ReadMulti allocates %.1f times per call for %d cached entries", allocs, k)
+	before := fx.cl.Stats().CacheHits
+	f()
+	if got := fx.cl.Stats().CacheHits - before; got != o.hits {
+		t.Fatalf("%s: %d cache hits per call, want %d", o.name, got, o.hits)
+	}
+	return minAllocs(f)
+}
+
+func requireNoAllocs(t *testing.T, op simOp) {
+	if a := newAllocFixture(t, 0).allocs(t, op); a != 0 {
+		t.Fatalf("%s allocates %.2f times per call in steady state, want 0", simOps[op].name, a)
+	}
+}
+
+func TestReadHitSteadyStateAllocs(t *testing.T)  { requireNoAllocs(t, opReadHit) }
+func TestReadMissSteadyStateAllocs(t *testing.T) { requireNoAllocs(t, opReadMiss) }
+func TestWriteSteadyStateAllocs(t *testing.T)    { requireNoAllocs(t, opWrite) }
+
+func TestReadMultiCachedSteadyStateAllocs(t *testing.T) { requireNoAllocs(t, opReadMulti) }
+func TestWriteMultiSteadyStateAllocs(t *testing.T)      { requireNoAllocs(t, opWriteMulti) }
+
+// TestDigestRefreshSteadyStateAllocs measures the control path: one
+// digest exchange whose reply shows the home's epoch moved, so the client
+// fetches the remap table and decodes it into its view.
+func TestDigestRefreshSteadyStateAllocs(t *testing.T) {
+	fx := newAllocFixture(t, 0)
+	cl := fx.cl
+	conn, err := cl.conn(fx.hot[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only this home's promoted objects are reported, so the plan rounds
+	// the digests trigger keep the promoted set as it is.
+	var entries []hotness.Entry
+	for _, a := range fx.hot {
+		if a.Server() == fx.hot[0].Server() {
+			entries = append(entries, hotness.Entry{Addr: a, Reads: 1})
+		}
+	}
+	// An epoch-0 snapshot installs unconditionally: it makes the view
+	// stale, so the next exchange sees the epoch move and refreshes.
+	var stale rpc.Writer
+	stale.U64(0).U32(0)
+	epoch := conn.view.Epoch()
+	exchange := func() {
+		var r rpc.Reader
+		r.Reset(stale.Bytes())
+		if err := conn.view.DecodeSnapshot(&r); err != nil {
+			t.Fatal(err)
+		}
+		cl.mu.Lock()
+		cl.digestExchange(conn, cl.now, entries)
+		cl.mu.Unlock()
+	}
+	for i := 0; i < 16; i++ {
+		exchange()
+	}
+	if conn.view.Epoch() != epoch || conn.view.Len() != len(entries) {
+		t.Fatalf("view after an exchange: epoch %d with %d entries, want %d with %d",
+			conn.view.Epoch(), conn.view.Len(), epoch, len(entries))
+	}
+	if a := minAllocs(exchange); a != 0 {
+		t.Fatalf("a digest exchange with a remap refresh allocates %.2f times, want 0", a)
 	}
 }
 
 func TestWriteMultiDirectSteadyStateAllocs(t *testing.T) {
+	// No proxy, so a chain goes straight to NVM; with the cache on it
+	// also pays the write-through RPC, whose request and reply reuse the
+	// client's control-plane buffers.
 	cfg := testConfig()
 	cfg.Servers = 1
-	cfg.Features = config.Features{} // direct path: chain + one fence
+	cfg.Features = config.Features{Cache: true}
+	cfg.Hotness.DigestEvery = 1 << 30
 	c := newTestCluster(t, cfg)
 	cl := connect(t, c, "u1")
-	const k = 16
+	// Eight WQEs is the longest chain rdma validates from a stack array;
+	// a longer one allocates its region list, once per chain.
+	const k = 8
 	addrs := make([]region.GAddr, k)
 	bufs := make([][]byte, k)
 	for i := range addrs {
@@ -87,10 +229,9 @@ func TestWriteMultiDirectSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the scratch pool
-	allocs := testing.AllocsPerRun(50, run)
-	if allocs >= k/2 {
-		t.Fatalf("WriteMulti allocates %.1f times per call for %d entries", allocs, k)
+	run() // warm the scratch
+	if allocs := minAllocs(run); allocs != 0 {
+		t.Fatalf("direct WriteMulti allocates %.2f times per call for %d entries, want 0", allocs, k)
 	}
 }
 
@@ -109,88 +250,17 @@ func minAllocs(f func()) float64 {
 	return best
 }
 
-// measureSimOpAllocs reports steady-state allocs/op (minAllocs) for
-// Read, Write, ReadMulti and WriteMulti against a fresh single-server
-// sim cluster.
-func measureSimOpAllocs(t *testing.T, sample int) (read, write, readMulti, writeMulti float64) {
-	t.Helper()
-	cfg := testConfig()
-	cfg.Servers = 1
-	cfg.Hotness.DigestEvery = 1 << 30
-	c := newTestCluster(t, cfg)
-	c.Tracer().SetSampleEvery(sample)
-	cl := connect(t, c, "u1")
-	const k = 8
-	addrs := make([]region.GAddr, k)
-	bufs := make([][]byte, k)
-	for i := range addrs {
-		a, err := cl.Malloc(128)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = a
-		bufs[i] = bytes.Repeat([]byte{byte(i)}, 128)
-	}
-	one := make([]byte, 128)
-	warm := func() {
-		if err := cl.Write(addrs[0], bufs[0]); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Read(addrs[0], one); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.WriteMulti(addrs, bufs); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.ReadMulti(addrs, bufs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 16; i++ {
-		warm()
-	}
-	read = minAllocs(func() {
-		if err := cl.Read(addrs[0], one); err != nil {
-			t.Fatal(err)
-		}
-	})
-	write = minAllocs(func() {
-		if err := cl.Write(addrs[0], bufs[0]); err != nil {
-			t.Fatal(err)
-		}
-	})
-	readMulti = minAllocs(func() {
-		if err := cl.ReadMulti(addrs, bufs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	writeMulti = minAllocs(func() {
-		if err := cl.WriteMulti(addrs, bufs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	return read, write, readMulti, writeMulti
-}
-
 // TestUnsampledTracingAddsNoAllocsSim is the sim-mount half of the
 // tracing zero-cost claim: with the cluster tracer's sampling gate
 // armed but never firing, every data-path op must allocate exactly as
 // much as with tracing disabled.
 func TestUnsampledTracingAddsNoAllocsSim(t *testing.T) {
-	baseR, baseW, baseRM, baseWM := measureSimOpAllocs(t, 0)
-	trR, trW, trRM, trWM := measureSimOpAllocs(t, 1<<30)
-	for _, c := range []struct {
-		op           string
-		base, traced float64
-	}{
-		{"Read", baseR, trR},
-		{"Write", baseW, trW},
-		{"ReadMulti", baseRM, trRM},
-		{"WriteMulti", baseWM, trWM},
-	} {
-		if c.traced > c.base+0.5 {
+	base, traced := newAllocFixture(t, 0), newAllocFixture(t, 1<<30)
+	for op := range simOps {
+		b, tr := base.allocs(t, simOp(op)), traced.allocs(t, simOp(op))
+		if tr > b+0.5 {
 			t.Errorf("%s: %.1f allocs/op with unsampled tracing, %.1f without — tracing must be free when unsampled",
-				c.op, c.traced, c.base)
+				simOps[op].name, tr, b)
 		}
 	}
 }

@@ -369,11 +369,6 @@ func (e *Engine) Digest(at simnet.Time, entries []hotness.Entry) uint64 {
 	return e.remap.Epoch()
 }
 
-// RemapSnapshot exposes the current remap table (epoch + entries).
-func (e *Engine) RemapSnapshot() (uint64, map[region.GAddr]cache.Location) {
-	return e.remap.Snapshot()
-}
-
 // OpenRing leases a staging ring for a new session and returns its base
 // offset in the ring device.
 func (e *Engine) OpenRing() (int64, error) {

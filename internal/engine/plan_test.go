@@ -183,7 +183,7 @@ func TestAgingIgnoresTimestamps(t *testing.T) {
 // that keeps swapping the resident set (every round promotes and
 // demotes, so copies are installed, released and their slots reused the
 // whole time). A read, hit or miss, always returns the object's own
-// bytes; RemapSnapshot is always one epoch's table, never more copies
+// bytes; the remap Snapshot is always one epoch's table, never more copies
 // than the arena holds.
 func TestReadersVersusPlanner(t *testing.T) {
 	const copies, objects = 16, 64
@@ -221,7 +221,7 @@ func TestReadersVersusPlanner(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			epoch, snap := eng.RemapSnapshot()
+			epoch, snap := eng.Remap().Snapshot()
 			if len(snap) > copies {
 				t.Errorf("snapshot at epoch %d holds %d copies, arena holds %d", epoch, len(snap), copies)
 				return

@@ -15,11 +15,14 @@ import (
 const DefaultCPUPerRequest = 1500 * time.Nanosecond
 
 // Handler services one RPC kind. It receives the simulated instant the
-// request finished occupying the server CPU and the request payload, and
-// returns the response payload plus the simulated instant the response is
-// ready (at least the given instant; later if the handler charged device
-// time). Returning an error sends a RemoteError to the client.
-type Handler func(at simnet.Time, req *Reader) (resp []byte, done simnet.Time, err error)
+// request finished occupying the server CPU and the request payload,
+// appends its response payload to resp, and returns the simulated instant
+// the response is ready (at least the given instant; later if the handler
+// charged device time). Returning an error sends a RemoteError to the
+// client instead of resp. req is a value so that handing it over costs no
+// allocation; resp is the caller's receive buffer (see Client.Call), so
+// the handler keeps nothing it encodes.
+type Handler func(at simnet.Time, req Reader, resp *Writer) (done simnet.Time, err error)
 
 // Server is the control-plane endpoint of one node: a table of handlers
 // and the CPU their requests serialize on. Nothing runs in it — a
@@ -83,47 +86,52 @@ type Client struct {
 }
 
 // Call issues a request of the given kind at simulated time at and
-// returns the response payload reader and the simulated completion
+// returns a reader over the response payload and the simulated completion
 // instant at the client. The exchange is charged where the hardware
 // would spend it — the request's flight on the client's queue pair, the
 // server's CPU share from its arrival, the handler's own device time,
 // the response's flight on the server's queue pair — and the handler
-// itself runs here, on the caller's goroutine, reading req in place; the
-// caller reads the handler's response bytes in place likewise.
-func (c *Client) Call(at simnet.Time, kind Kind, req []byte) (*Reader, simnet.Time, error) {
+// itself runs here, on the caller's goroutine, reading req in place.
+//
+// The response lands in resp, the caller's receive buffer, the way a
+// verbs client posts memory it registered once for replies to land in:
+// it is emptied first and grows to its high-water mark over the calls
+// that reuse it, and the returned reader reads it in place until resp is
+// reused. Concurrent calls on one Client need a receive buffer each.
+func (c *Client) Call(at simnet.Time, kind Kind, req []byte, resp *Writer) (Reader, simnet.Time, error) {
 	h, err := c.srv.handler(kind)
 	if err != nil {
-		return nil, at, err
+		return Reader{}, at, err
 	}
 	arrival, err := c.qp.Send(at, headerLen+len(req))
 	if err != nil {
-		return nil, at, fmt.Errorf("%w: %v", ErrClosed, err)
+		return Reader{}, at, fmt.Errorf("%w: %v", ErrClosed, err)
 	}
 	_, done := c.srv.cpu.Acquire(arrival, c.srv.cpuPerReq)
 
-	var resp []byte
+	resp.buf = resp.buf[:0]
 	var remote *RemoteError // an error reply carries its text as payload
 	if h == nil {
 		remote = &RemoteError{Kind: kind, Msg: fmt.Sprintf("no handler for kind %d", kind)}
 	} else {
-		r, hDone, herr := h(done, NewReader(req))
-		resp, done = r, simnet.MaxTime(done, hDone)
+		hDone, herr := h(done, Reader{buf: req}, resp)
+		done = simnet.MaxTime(done, hDone)
 		if herr != nil {
 			remote = &RemoteError{Kind: kind, Msg: herr.Error()}
 		}
 	}
-	size := len(resp)
+	size := len(resp.buf)
 	if remote != nil {
 		size = len(remote.Msg)
 	}
 	end, err := c.sqp.Send(done, headerLen+size)
 	if err != nil {
-		return nil, at, fmt.Errorf("%w: %v", ErrClosed, err)
+		return Reader{}, at, fmt.Errorf("%w: %v", ErrClosed, err)
 	}
 	if remote != nil {
-		return nil, end, remote
+		return Reader{}, end, remote
 	}
-	return NewReader(resp), end, nil
+	return Reader{buf: resp.buf}, end, nil
 }
 
 // Close tears the client down; later calls fail with ErrClosed.

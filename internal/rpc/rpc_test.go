@@ -42,26 +42,24 @@ func newEchoServer(t *testing.T) (*Server, *rdma.Node, *rdma.Node) {
 	t.Helper()
 	_, cn, sn := testFabric(t)
 	srv := NewServer(simnet.NewResource("cpu"), 0)
-	srv.Handle(kindEcho, func(at simnet.Time, req *Reader) ([]byte, simnet.Time, error) {
+	srv.Handle(kindEcho, func(at simnet.Time, req Reader, resp *Writer) (simnet.Time, error) {
 		b := req.Blob()
 		if err := req.Err(); err != nil {
-			return nil, at, err
+			return at, err
 		}
-		var w Writer
-		w.Blob(b)
-		return w.Bytes(), at, nil
+		resp.Blob(b)
+		return at, nil
 	})
-	srv.Handle(kindFail, func(at simnet.Time, req *Reader) ([]byte, simnet.Time, error) {
-		return nil, at, errors.New("boom")
+	srv.Handle(kindFail, func(at simnet.Time, req Reader, resp *Writer) (simnet.Time, error) {
+		return at, errors.New("boom")
 	})
-	srv.Handle(kindAdd, func(at simnet.Time, req *Reader) ([]byte, simnet.Time, error) {
+	srv.Handle(kindAdd, func(at simnet.Time, req Reader, resp *Writer) (simnet.Time, error) {
 		a, b := req.U64(), req.U64()
 		if err := req.Err(); err != nil {
-			return nil, at, err
+			return at, err
 		}
-		var w Writer
-		w.U64(a + b)
-		return w.Bytes(), at, nil
+		resp.U64(a + b)
+		return at, nil
 	})
 	return srv, cn, sn
 }
@@ -77,12 +75,22 @@ func TestCallRoundtrip(t *testing.T) {
 
 	var w Writer
 	w.Blob([]byte("hello"))
-	resp, end, err := cl.Call(0, kindEcho, w.Bytes())
+	var rx Writer
+	resp, end, err := cl.Call(0, kindEcho, w.Bytes(), &rx)
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
 	if got := resp.Blob(); string(got) != "hello" {
 		t.Fatalf("echo = %q", got)
+	}
+	// The receive buffer is the caller's, emptied and reused by each call.
+	w.Reset(nil)
+	w.Blob([]byte("hi"))
+	if resp, _, err = cl.Call(end, kindEcho, w.Bytes(), &rx); err != nil {
+		t.Fatalf("second Call: %v", err)
+	}
+	if got := resp.Blob(); string(got) != "hi" || len(rx.Bytes()) != 4+len("hi") {
+		t.Fatalf("second echo = %q in a %d-byte buffer", got, len(rx.Bytes()))
 	}
 	if end <= 0 {
 		t.Fatal("RPC charged no simulated time")
@@ -103,7 +111,7 @@ func TestRemoteError(t *testing.T) {
 	}
 	defer cl.Close()
 
-	_, _, err = cl.Call(0, kindFail, nil)
+	_, _, err = cl.Call(0, kindFail, nil, new(Writer))
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("error = %v, want RemoteError", err)
@@ -124,7 +132,7 @@ func TestUnknownKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	_, _, err = cl.Call(0, Kind(200), nil)
+	_, _, err = cl.Call(0, Kind(200), nil, new(Writer))
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("unknown kind error = %v", err)
@@ -148,7 +156,7 @@ func TestConcurrentCalls(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				var w Writer
 				w.U64(uint64(g)).U64(uint64(i))
-				resp, _, err := cl.Call(0, kindAdd, w.Bytes())
+				resp, _, err := cl.Call(0, kindAdd, w.Bytes(), new(Writer))
 				if err != nil {
 					t.Errorf("Call: %v", err)
 					return
@@ -177,7 +185,7 @@ func TestMultipleClients(t *testing.T) {
 	for i, cl := range clients {
 		var w Writer
 		w.U64(uint64(i)).U64(1)
-		resp, _, err := cl.Call(0, kindAdd, w.Bytes())
+		resp, _, err := cl.Call(0, kindAdd, w.Bytes(), new(Writer))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +204,7 @@ func TestClientCloseFailsInflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.Close()
-	if _, _, err := cl.Call(0, kindEcho, nil); !errors.Is(err, ErrClosed) {
+	if _, _, err := cl.Call(0, kindEcho, nil, new(Writer)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("call after close: %v", err)
 	}
 }
@@ -208,7 +216,7 @@ func TestServerCloseStopsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, _, err := cl.Call(0, kindEcho, nil); !errors.Is(err, ErrClosed) {
+	if _, _, err := cl.Call(0, kindEcho, nil, new(Writer)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("call after server close: %v", err)
 	}
 	srv.Close() // idempotent
@@ -225,11 +233,12 @@ func TestCallInstant(t *testing.T) {
 	m := f.Model()
 	const cpuCost, handlerTime = 2 * time.Microsecond, 7 * time.Microsecond
 	srv := NewServer(simnet.NewResource("cpu"), cpuCost)
-	resp := make([]byte, 40)
+	reply := make([]byte, 40)
 	var handlerAt simnet.Time
-	srv.Handle(kindEcho, func(at simnet.Time, req *Reader) ([]byte, simnet.Time, error) {
+	srv.Handle(kindEcho, func(at simnet.Time, req Reader, resp *Writer) (simnet.Time, error) {
 		handlerAt = at
-		return resp, at.Add(handlerTime), nil
+		copy(resp.Extend(len(reply)), reply)
+		return at.Add(handlerTime), nil
 	})
 	defer srv.Close()
 	cl, err := Dial(cn, sn, srv)
@@ -244,14 +253,14 @@ func TestCallInstant(t *testing.T) {
 	}
 	const start = simnet.Time(1000)
 	req := make([]byte, 100)
-	_, end, err := cl.Call(start, kindEcho, req)
+	_, end, err := cl.Call(start, kindEcho, req, new(Writer))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := start.Add(flight(len(req)) + cpuCost); handlerAt != want {
 		t.Fatalf("handler ran at %v, want %v", handlerAt, want)
 	}
-	if want := start.Add(flight(len(req)) + cpuCost + handlerTime + flight(len(resp))); end != want {
+	if want := start.Add(flight(len(req)) + cpuCost + handlerTime + flight(len(reply))); end != want {
 		t.Fatalf("call completed at %v, want %v", end, want)
 	}
 	if n := f.VerbCounts().Sends; n != 2 {
@@ -266,8 +275,8 @@ func TestCPUSerializesRequests(t *testing.T) {
 	cpu := simnet.NewResource("cpu")
 	const cost = 10 * time.Microsecond
 	srv := NewServer(cpu, cost)
-	srv.Handle(kindEcho, func(at simnet.Time, req *Reader) ([]byte, simnet.Time, error) {
-		return nil, at, nil
+	srv.Handle(kindEcho, func(at simnet.Time, req Reader, resp *Writer) (simnet.Time, error) {
+		return at, nil
 	})
 	defer srv.Close()
 	cl, err := Dial(cn, sn, srv)
@@ -282,7 +291,7 @@ func TestCPUSerializesRequests(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := cl.Call(0, kindEcho, nil); err != nil {
+			if _, _, err := cl.Call(0, kindEcho, nil, new(Writer)); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -328,8 +337,8 @@ func TestHandlerDeviceTimePropagates(t *testing.T) {
 	_, cn, sn := testFabric(t)
 	srv := NewServer(simnet.NewResource("cpu"), time.Microsecond)
 	const extra = 100 * time.Microsecond
-	srv.Handle(kindEcho, func(at simnet.Time, req *Reader) ([]byte, simnet.Time, error) {
-		return nil, at.Add(extra), nil
+	srv.Handle(kindEcho, func(at simnet.Time, req Reader, resp *Writer) (simnet.Time, error) {
+		return at.Add(extra), nil
 	})
 	defer srv.Close()
 	cl, err := Dial(cn, sn, srv)
@@ -337,7 +346,7 @@ func TestHandlerDeviceTimePropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	_, end, err := cl.Call(0, kindEcho, nil)
+	_, end, err := cl.Call(0, kindEcho, nil, new(Writer))
 	if err != nil {
 		t.Fatal(err)
 	}

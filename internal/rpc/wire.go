@@ -106,7 +106,8 @@ func (w *Writer) Extend(n int) []byte {
 }
 
 // Reader consumes binary fields from a payload. The first decode error
-// sticks; check Err once at the end.
+// sticks; check Err once at the end. A copy of a Reader decodes on from
+// the same position independently.
 type Reader struct {
 	buf []byte
 	err error
@@ -194,10 +195,14 @@ func (r *Reader) U64() uint64 {
 func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // Str consumes a length-prefixed string.
-func (r *Reader) Str() string {
+func (r *Reader) Str() string { return string(r.StrBytes()) }
+
+// StrBytes consumes a length-prefixed string and returns its bytes in
+// place, for a decoder that resolves the string against names it holds
+// instead of allocating a copy. The slice aliases the payload.
+func (r *Reader) StrBytes() []byte {
 	n := int(r.U16())
-	b := r.take(n)
-	return string(b)
+	return r.take(n)
 }
 
 // Blob consumes a 32-bit-length-prefixed byte slice. The returned slice

@@ -27,7 +27,7 @@ func mallocOn(t *testing.T, ctl *rpc.Client, size int64) region.GAddr {
 	t.Helper()
 	var w rpc.Writer
 	w.I64(size)
-	resp, _, err := ctl.Call(0, KindMalloc, w.Bytes())
+	resp, _, err := ctl.Call(0, KindMalloc, w.Bytes(), new(rpc.Writer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func digest(t *testing.T, ctl *rpc.Client, at simnet.Time, addr region.GAddr, re
 	t.Helper()
 	var w rpc.Writer
 	w.U32(1).U64(uint64(addr)).U32(reads).U32(0)
-	resp, _, err := ctl.Call(at, KindDigest, w.Bytes())
+	resp, _, err := ctl.Call(at, KindDigest, w.Bytes(), new(rpc.Writer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestPlanPromotesHotObject(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	epoch, snap := s.RemapSnapshot()
+	epoch, snap := s.remap.Snapshot()
 	if epoch == 0 || len(snap) != 1 {
 		t.Fatalf("promotion missing: epoch=%d snap=%v", epoch, snap)
 	}
@@ -123,7 +123,7 @@ func TestPlanDemotesWhenDisplaced(t *testing.T) {
 	if err := s.Engine().Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	if _, snap := s.RemapSnapshot(); len(snap) != 1 {
+	if _, snap := s.remap.Snapshot(); len(snap) != 1 {
 		t.Fatalf("first promotion: %v", snap)
 	}
 	// b becomes far hotter; with room for one copy, a must be displaced.
@@ -132,7 +132,7 @@ func TestPlanDemotesWhenDisplaced(t *testing.T) {
 	if err := s.Engine().Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	_, snap := s.RemapSnapshot()
+	_, snap := s.remap.Snapshot()
 	if len(snap) != 1 {
 		t.Fatalf("after displacement: %v", snap)
 	}
@@ -172,7 +172,7 @@ func TestDigestIgnoresUnknownAddresses(t *testing.T) {
 	if err := s.Engine().Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	if _, snap := s.RemapSnapshot(); len(snap) != 0 {
+	if _, snap := s.remap.Snapshot(); len(snap) != 0 {
 		t.Fatalf("phantom promotion: %v", snap)
 	}
 }
@@ -191,7 +191,7 @@ func TestDigestOversizedCountRejected(t *testing.T) {
 	var w rpc.Writer
 	w.U32(1 << 31)
 	var re *rpc.RemoteError
-	if _, _, err := ctl.Call(0, KindDigest, w.Bytes()); !errors.As(err, &re) {
+	if _, _, err := ctl.Call(0, KindDigest, w.Bytes(), new(rpc.Writer)); !errors.As(err, &re) {
 		t.Fatalf("digest with count 1<<31 and no body: got %v, want RemoteError", err)
 	}
 	if got := s.Stats().Digests; got != 0 {
@@ -213,7 +213,7 @@ func TestWriteThroughRefreshesPromotedCopy(t *testing.T) {
 	if err := s.Engine().Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	_, snap := s.RemapSnapshot()
+	_, snap := s.remap.Snapshot()
 	loc, ok := snap[addr]
 	if !ok {
 		t.Fatal("not promoted")
@@ -227,7 +227,7 @@ func TestWriteThroughRefreshesPromotedCopy(t *testing.T) {
 	}
 	var w rpc.Writer
 	w.U32(1).U64(uint64(addr.Add(100))).U32(uint32(len(patch)))
-	if _, _, err := ctl.Call(0, KindWriteThroughBatch, w.Bytes()); err != nil {
+	if _, _, err := ctl.Call(0, KindWriteThroughBatch, w.Bytes(), new(rpc.Writer)); err != nil {
 		t.Fatal(err)
 	}
 	host, _ := c.Registry().ByNode(loc.Node)
@@ -287,7 +287,7 @@ func TestFreeWhilePromotedReleasesCopy(t *testing.T) {
 	}
 	var w rpc.Writer
 	w.U64(uint64(addr))
-	if _, _, err := ctl.Call(0, KindFree, w.Bytes()); err != nil {
+	if _, _, err := ctl.Call(0, KindFree, w.Bytes(), new(rpc.Writer)); err != nil {
 		t.Fatal(err)
 	}
 	if s.remap.Len() != 0 || s.bufp.UsedBytes() != 0 {
@@ -334,7 +334,7 @@ func TestPlanSpillsToPeerWhenLocalArenaFull(t *testing.T) {
 	if err := s1.Engine().Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	_, snap := s1.RemapSnapshot()
+	_, snap := s1.remap.Snapshot()
 	loc, ok := snap[addr]
 	if !ok {
 		t.Fatal("not promoted despite peer space")

@@ -19,6 +19,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"gengar/internal/config"
@@ -157,11 +158,6 @@ func (s *Server) Engine() *proxy.Engine { return s.eng.Flusher() }
 // RPC returns the server's control-plane endpoint.
 func (s *Server) RPC() *rpc.Server { return s.rpcSrv }
 
-// RemapSnapshot exposes the current remap table (epoch + entries).
-func (s *Server) RemapSnapshot() (uint64, map[region.GAddr]cache.Location) {
-	return s.eng.RemapSnapshot()
-}
-
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() Stats { return s.eng.Stats() }
 
@@ -190,42 +186,52 @@ func (s *Server) applyToCache(at simnet.Time, addr region.GAddr, data []byte) si
 }
 
 // --- control-plane handlers ---
+//
+// Each handler encodes its reply into resp, the caller's receive buffer,
+// so a reply costs the server no allocation.
 
-func (s *Server) handleMalloc(at simnet.Time, req *rpc.Reader) ([]byte, simnet.Time, error) {
+func (s *Server) handleMalloc(at simnet.Time, req rpc.Reader, resp *rpc.Writer) (simnet.Time, error) {
 	size := req.I64()
 	if err := req.Err(); err != nil {
-		return nil, at, err
+		return at, err
 	}
 	addr, err := s.eng.Malloc(size)
 	if err != nil {
-		return nil, at, err
+		return at, err
 	}
-	var w rpc.Writer
-	w.U64(uint64(addr))
-	return w.Bytes(), at, nil
+	resp.U64(uint64(addr))
+	return at, nil
 }
 
-func (s *Server) handleFree(at simnet.Time, req *rpc.Reader) ([]byte, simnet.Time, error) {
+func (s *Server) handleFree(at simnet.Time, req rpc.Reader, resp *rpc.Writer) (simnet.Time, error) {
 	addr := region.GAddr(req.U64())
 	if err := req.Err(); err != nil {
-		return nil, at, err
+		return at, err
 	}
 	if addr.Server() != s.id {
-		return nil, at, fmt.Errorf("%w: %v", ErrNotHome, addr)
+		return at, fmt.Errorf("%w: %v", ErrNotHome, addr)
 	}
-	return nil, at, s.eng.Free(addr)
+	return at, s.eng.Free(addr)
 }
 
 // digestEntryBytes is one digest entry on the wire: addr u64 + reads u32
 // + writes u32.
 const digestEntryBytes = 16
 
-func (s *Server) handleDigest(at simnet.Time, req *rpc.Reader) ([]byte, simnet.Time, error) {
+// digestScratch holds the entries handleDigest decodes for the engine to
+// fold. Clients digest to one server concurrently, so each call takes a
+// scratch slice of its own from the pool.
+var digestScratch = sync.Pool{New: func() any { return new([]hotness.Entry) }}
+
+func (s *Server) handleDigest(at simnet.Time, req rpc.Reader, resp *rpc.Writer) (simnet.Time, error) {
 	n, err := req.Count(digestEntryBytes)
 	if err != nil {
-		return nil, at, err
+		return at, err
 	}
-	entries := make([]hotness.Entry, n)
+	scratch := digestScratch.Get().(*[]hotness.Entry)
+	defer digestScratch.Put(scratch)
+	entries := slices.Grow((*scratch)[:0], n)[:n]
+	*scratch = entries
 	for i := range entries {
 		entries[i] = hotness.Entry{
 			Addr:   region.GAddr(req.U64()),
@@ -233,48 +239,39 @@ func (s *Server) handleDigest(at simnet.Time, req *rpc.Reader) ([]byte, simnet.T
 			Writes: uint64(req.U32()),
 		}
 	}
-	epoch := s.eng.Digest(at, entries)
-	var w rpc.Writer
-	w.U64(epoch)
-	return w.Bytes(), at, nil
+	resp.U64(s.eng.Digest(at, entries))
+	return at, nil
 }
 
-func (s *Server) handleRemapFetch(at simnet.Time, req *rpc.Reader) ([]byte, simnet.Time, error) {
-	epoch, entries := s.eng.RemapSnapshot()
-	var w rpc.Writer
-	w.U64(epoch).U32(uint32(len(entries)))
-	for base, loc := range entries {
-		w.U64(uint64(base))
-		loc.Encode(&w)
-	}
-	return w.Bytes(), at, nil
+func (s *Server) handleRemapFetch(at simnet.Time, req rpc.Reader, resp *rpc.Writer) (simnet.Time, error) {
+	s.remap.EncodeSnapshot(resp)
+	return at, nil
 }
 
-func (s *Server) handleOpenSession(at simnet.Time, req *rpc.Reader) ([]byte, simnet.Time, error) {
+func (s *Server) handleOpenSession(at simnet.Time, req rpc.Reader, resp *rpc.Writer) (simnet.Time, error) {
 	base, err := s.eng.OpenRing()
 	if err != nil {
-		return nil, at, err
+		return at, err
 	}
 	slots, slotSize := s.eng.RingGeometry()
 	tbl := s.eng.LockTable()
-	var w rpc.Writer
-	w.U32(s.ringMR.RKey()).I64(base).
+	resp.U32(s.ringMR.RKey()).I64(base).
 		U32(uint32(slots)).U32(uint32(slotSize)).
 		U32(s.nvmMR.RKey()).
 		U32(s.lockMR.RKey()).I64(tbl.Base()).U32(uint32(tbl.Slots()))
-	return w.Bytes(), at, nil
+	return at, nil
 }
 
 // handleCloseSession returns a session's staging ring for reuse. The
 // client must have drained its writer first; the server trusts the
 // client here because ring contents are only interpreted via the
 // flusher queue, which the departing writer no longer feeds.
-func (s *Server) handleCloseSession(at simnet.Time, req *rpc.Reader) ([]byte, simnet.Time, error) {
+func (s *Server) handleCloseSession(at simnet.Time, req rpc.Reader, resp *rpc.Writer) (simnet.Time, error) {
 	base := req.I64()
 	if err := req.Err(); err != nil {
-		return nil, at, err
+		return at, err
 	}
-	return nil, at, s.eng.CloseRing(base)
+	return at, s.eng.CloseRing(base)
 }
 
 // handleWriteThroughBatch keeps promoted copies coherent after a client
@@ -284,22 +281,22 @@ func (s *Server) handleCloseSession(at simnet.Time, req *rpc.Reader) ([]byte, si
 // RPC covers a whole write chain — a k-record direct-path burst pays
 // one control-plane round trip instead of k. Ranges are refreshed in
 // request order.
-func (s *Server) handleWriteThroughBatch(at simnet.Time, req *rpc.Reader) ([]byte, simnet.Time, error) {
+func (s *Server) handleWriteThroughBatch(at simnet.Time, req rpc.Reader, resp *rpc.Writer) (simnet.Time, error) {
 	n := int(req.U32())
 	end := at
 	for i := 0; i < n; i++ {
 		addr := region.GAddr(req.U64())
 		size := int64(req.U32())
 		if err := req.Err(); err != nil {
-			return nil, at, err
+			return at, err
 		}
 		if addr.Server() != s.id {
-			return nil, at, fmt.Errorf("%w: %v", ErrNotHome, addr)
+			return at, fmt.Errorf("%w: %v", ErrNotHome, addr)
 		}
 		var err error
 		if end, err = s.eng.RefreshCopy(end, addr, size); err != nil {
-			return nil, at, err
+			return at, err
 		}
 	}
-	return nil, end, req.Err()
+	return end, req.Err()
 }

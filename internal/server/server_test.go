@@ -113,7 +113,7 @@ func TestMallocFreeRPC(t *testing.T) {
 
 	var w rpc.Writer
 	w.I64(500)
-	resp, _, err := ctl.Call(0, KindMalloc, w.Bytes())
+	resp, _, err := ctl.Call(0, KindMalloc, w.Bytes(), new(rpc.Writer))
 	if err != nil {
 		t.Fatalf("malloc: %v", err)
 	}
@@ -131,14 +131,14 @@ func TestMallocFreeRPC(t *testing.T) {
 
 	var f rpc.Writer
 	f.U64(uint64(addr))
-	if _, _, err := ctl.Call(0, KindFree, f.Bytes()); err != nil {
+	if _, _, err := ctl.Call(0, KindFree, f.Bytes(), new(rpc.Writer)); err != nil {
 		t.Fatalf("free: %v", err)
 	}
 	if st := s.Stats(); st.Frees != 1 || st.Objects != 0 {
 		t.Fatalf("stats after free: %+v", st)
 	}
 	// Double free is an error.
-	if _, _, err := ctl.Call(0, KindFree, f.Bytes()); err == nil {
+	if _, _, err := ctl.Call(0, KindFree, f.Bytes(), new(rpc.Writer)); err == nil {
 		t.Fatal("double free accepted")
 	}
 }
@@ -149,7 +149,7 @@ func TestMallocRejectsBadSize(t *testing.T) {
 	ctl := dial(t, c, s, "client-a")
 	var w rpc.Writer
 	w.I64(-5)
-	if _, _, err := ctl.Call(0, KindMalloc, w.Bytes()); err == nil {
+	if _, _, err := ctl.Call(0, KindMalloc, w.Bytes(), new(rpc.Writer)); err == nil {
 		t.Fatal("negative malloc accepted")
 	}
 }
@@ -160,7 +160,7 @@ func TestFreeWrongHome(t *testing.T) {
 	ctl := dial(t, c, s, "client-a")
 	var w rpc.Writer
 	w.U64(uint64(region.MustGAddr(2, 64))) // homed on server 2
-	_, _, err := ctl.Call(0, KindFree, w.Bytes())
+	_, _, err := ctl.Call(0, KindFree, w.Bytes(), new(rpc.Writer))
 	if err == nil || !strings.Contains(err.Error(), "not homed") {
 		t.Fatalf("wrong-home free: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestOpenCloseSession(t *testing.T) {
 	s, _ := c.Registry().ByID(1)
 	ctl := dial(t, c, s, "client-a")
 
-	resp, _, err := ctl.Call(0, KindOpenSession, nil)
+	resp, _, err := ctl.Call(0, KindOpenSession, nil, new(rpc.Writer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestOpenCloseSession(t *testing.T) {
 	}
 
 	// Second session gets a disjoint ring.
-	resp2, _, err := ctl.Call(0, KindOpenSession, nil)
+	resp2, _, err := ctl.Call(0, KindOpenSession, nil, new(rpc.Writer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +210,13 @@ func TestOpenCloseSession(t *testing.T) {
 	// Close the first; reopening reuses its ring.
 	var w rpc.Writer
 	w.I64(ringBase)
-	if _, _, err := ctl.Call(0, KindCloseSession, w.Bytes()); err != nil {
+	if _, _, err := ctl.Call(0, KindCloseSession, w.Bytes(), new(rpc.Writer)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ctl.Call(0, KindCloseSession, w.Bytes()); err == nil {
+	if _, _, err := ctl.Call(0, KindCloseSession, w.Bytes(), new(rpc.Writer)); err == nil {
 		t.Fatal("double ring close accepted")
 	}
-	resp3, _, err := ctl.Call(0, KindOpenSession, nil)
+	resp3, _, err := ctl.Call(0, KindOpenSession, nil, new(rpc.Writer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestCloseSessionValidatesBase(t *testing.T) {
 	ctl := dial(t, c, s, "client-a")
 	var w rpc.Writer
 	w.I64(12345) // not ring-aligned, never allocated
-	if _, _, err := ctl.Call(0, KindCloseSession, w.Bytes()); err == nil {
+	if _, _, err := ctl.Call(0, KindCloseSession, w.Bytes(), new(rpc.Writer)); err == nil {
 		t.Fatal("bogus ring close accepted")
 	}
 }
@@ -282,12 +282,12 @@ func TestWriteThroughRPC(t *testing.T) {
 	ctl := dial(t, c, s, "client-a")
 	var w rpc.Writer
 	w.U32(1).U64(uint64(region.MustGAddr(2, 64))).U32(8)
-	if _, _, err := ctl.Call(0, KindWriteThroughBatch, w.Bytes()); err == nil {
+	if _, _, err := ctl.Call(0, KindWriteThroughBatch, w.Bytes(), new(rpc.Writer)); err == nil {
 		t.Fatal("wrong-home write-through accepted")
 	}
 	var w2 rpc.Writer
 	w2.U32(1).U64(uint64(region.MustGAddr(1, 64))).U32(8)
-	if _, _, err := ctl.Call(0, KindWriteThroughBatch, w2.Bytes()); err != nil {
+	if _, _, err := ctl.Call(0, KindWriteThroughBatch, w2.Bytes(), new(rpc.Writer)); err != nil {
 		t.Fatalf("unknown-object write-through: %v", err)
 	}
 }

@@ -66,6 +66,8 @@ func (g *Gate) minLocked() Time {
 
 // Advance reports the actor's clock and blocks while it is more than the
 // window ahead of the slowest participant.
+//
+//gengar:hotpath
 func (h *GateHandle) Advance(now Time) {
 	g := h.g
 	g.mu.Lock()

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -89,19 +90,9 @@ func TestGateManyActorsStayWithinWindow(t *testing.T) {
 			}
 			g.mu.Lock()
 			if len(g.clocks) == actors { // only while everyone is active
-				var lo, hi Time
-				first := true
+				lo, hi := Time(1<<62), Time(0)
 				for _, c := range g.clocks {
-					if first {
-						lo, hi = c, c
-						first = false
-					}
-					if c < lo {
-						lo = c
-					}
-					if c > hi {
-						hi = c
-					}
+					lo, hi = min(lo, c), max(hi, c)
 				}
 				if sk := hi.Sub(lo); sk > window+maxStep {
 					select {
@@ -114,9 +105,14 @@ func TestGateManyActorsStayWithinWindow(t *testing.T) {
 		}
 	}()
 
+	// Everyone joins before anyone runs: an actor joining at 0 after the
+	// others ran ahead would break the invariant by construction.
+	hs := make([]*GateHandle, actors)
+	for i := range hs {
+		hs[i] = g.Join(0)
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < actors; i++ {
-		h := g.Join(0)
+	for i, h := range hs {
 		wg.Add(1)
 		go func(i int, h *GateHandle) {
 			defer wg.Done()
@@ -134,5 +130,87 @@ func TestGateManyActorsStayWithinWindow(t *testing.T) {
 	case sk := <-violation:
 		t.Fatalf("skew %v exceeded window+maxStep", sk)
 	default:
+	}
+}
+
+// TestGateJoinLeaveWhileWaiting joins and leaves actors while others
+// wait: the first joiner, a late joiner at the lowest clock and one in
+// the middle leave in turn. No waiter may be stranded, and a removed
+// handle must not keep the minimum pinned.
+func TestGateJoinLeaveWhileWaiting(t *testing.T) {
+	const window = 10
+	g := NewGate(window)
+	anchor := g.Join(0)
+	var waiters []*GateHandle
+	for i := 0; i < 3; i++ {
+		waiters = append(waiters, g.Join(0))
+	}
+	released := make(chan int, len(waiters))
+	for i, h := range waiters {
+		go func(i int, h *GateHandle) {
+			h.Advance(1000)
+			released <- i
+		}(i, h)
+	}
+	stillBlocked := func(when string) {
+		t.Helper()
+		select {
+		case i := <-released:
+			t.Fatalf("%s: waiter %d released with the minimum still far behind", when, i)
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	stillBlocked("before any leave")
+
+	// Two late joiners behind everyone; the one at 0 keeps the minimum
+	// where it was once the anchor leaves.
+	mid := g.Join(500)
+	low := g.Join(0)
+	anchor.Leave()
+	stillBlocked("after the anchor left")
+
+	// The lowest clock leaves: the minimum must move up to mid's 500,
+	// still far behind the waiters.
+	low.Leave()
+	stillBlocked("after the low joiner left")
+
+	// mid catches up: every waiter is released.
+	mid.Advance(995)
+	for range waiters {
+		select {
+		case <-released:
+		case <-time.After(time.Second):
+			t.Fatal("a waiter was stranded")
+		}
+	}
+
+	// Every remaining handle leaves; the gate ends empty and a double
+	// leave changes nothing.
+	for _, h := range append(waiters, mid) {
+		h.Leave()
+		h.Leave()
+	}
+	if n := len(g.clocks); n != 0 {
+		t.Fatalf("%d handles left in an empty gate", n)
+	}
+}
+
+// BenchmarkGateAdvance advances one of n actors per op, round-robin, in a
+// window wide enough that no actor ever waits: the cost of reporting a
+// clock — the minimum scan and the wake-up broadcast.
+func BenchmarkGateAdvance(b *testing.B) {
+	for _, n := range []int{2, 8} {
+		b.Run(fmt.Sprintf("actors=%d", n), func(b *testing.B) {
+			g := NewGate(Duration(1) << 60)
+			hs := make([]*GateHandle, n)
+			for i := range hs {
+				hs[i] = g.Join(0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hs[i%n].Advance(Time(i))
+			}
+		})
 	}
 }
