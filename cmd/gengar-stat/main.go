@@ -172,53 +172,58 @@ func render(w *os.File, snap, prev telemetry.Snapshot, elapsed time.Duration, fi
 	tw.Flush()
 }
 
+// frac renders part of whole as a percentage, or "-" for an empty whole.
+func frac(part, whole int64) string {
+	if whole == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(whole))
+}
+
 // renderShards prints the allocator-balance pane: per-shard slab
-// occupancy (gengar_alloc_shard_* gauges) for each arena, with the
+// occupancy of the NVM pool (gengar_alloc_shard_* gauges), the DRAM
+// buffer arena's occupancy (one granule allocator, not sharded), and the
 // seqlock read-path counters alongside — together they show whether
 // client fan-in is actually spreading across the sharded hot paths.
 func renderShards(w io.Writer, snap telemetry.Snapshot) {
-	type key struct{ pool, shard string }
-	used := make(map[key]int64)
-	slabs := make(map[key]int64)
-	pools := make(map[string][]string) // pool -> shard ids, insertion order
+	used := make(map[string]int64)
+	slabs := make(map[string]int64)
+	var shards []string
+	var bufUsed, bufCap int64
 	for _, g := range snap.Gauges {
-		k := key{g.Labels["pool"], g.Labels["shard"]}
+		shard := g.Labels["shard"]
 		switch g.Name {
 		case "gengar_alloc_shard_used_bytes":
-			if _, seen := used[k]; !seen {
-				pools[k.pool] = append(pools[k.pool], k.shard)
+			if _, seen := used[shard]; !seen {
+				shards = append(shards, shard)
 			}
-			used[k] = g.Value
+			used[shard] += g.Value
 		case "gengar_alloc_shard_slabs":
-			slabs[k] = g.Value
+			slabs[shard] += g.Value
+		case "gengar_server_buffer_used_bytes":
+			bufUsed += g.Value
+		case "gengar_server_buffer_capacity_bytes":
+			bufCap += g.Value
 		}
 	}
-	if len(pools) == 0 {
+	if len(shards) == 0 {
 		return
 	}
-	names := make([]string, 0, len(pools))
-	for p := range pools {
-		names = append(names, p)
-	}
-	sort.Strings(names)
+	sort.Slice(shards, func(i, j int) bool {
+		return len(shards[i]) < len(shards[j]) || (len(shards[i]) == len(shards[j]) && shards[i] < shards[j])
+	})
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w)
-	fmt.Fprintln(tw, "ARENA\tSHARD\tSLABS\tUSED")
-	for _, p := range names {
-		shards := pools[p]
-		sort.Slice(shards, func(i, j int) bool {
-			return len(shards[i]) < len(shards[j]) || (len(shards[i]) == len(shards[j]) && shards[i] < shards[j])
-		})
-		var totalUsed, totalSlabs int64
-		for _, s := range shards {
-			k := key{p, s}
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\n", p, s, slabs[k], used[k])
-			totalUsed += used[k]
-			totalSlabs += slabs[k]
-		}
-		fmt.Fprintf(tw, "%s\t(all)\t%d\t%d\n", p, totalSlabs, totalUsed)
+	fmt.Fprintln(tw, "NVM SHARD\tSLABS\tUSED")
+	var totalUsed, totalSlabs int64
+	for _, sh := range shards {
+		fmt.Fprintf(tw, "%s\t%d\t%d\n", sh, slabs[sh], used[sh])
+		totalUsed += used[sh]
+		totalSlabs += slabs[sh]
 	}
+	fmt.Fprintf(tw, "(all)\t%d\t%d\n", totalSlabs, totalUsed)
 	tw.Flush()
+	fmt.Fprintf(w, "dram buffer: %d of %d bytes hold copies (%s)\n", bufUsed, bufCap, frac(bufUsed, bufCap))
 
 	var retries, fallbacks, hits int64
 	for _, c := range snap.Counters {
@@ -387,12 +392,6 @@ func renderPeers(w io.Writer, snap telemetry.Snapshot) {
 		case "gengar_server_hosted_bytes":
 			hostedBytes += g.Value
 		}
-	}
-	frac := func(part, whole int64) string {
-		if whole == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(whole))
 	}
 	dram := localHits + peerHits
 	fmt.Fprintf(w, "dram hits: %d local + %d peer (%s peer-served), %d peer errors, %d links live\n",

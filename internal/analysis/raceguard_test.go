@@ -39,7 +39,7 @@ var raceExcludeAllowlist = map[string]raceSibling{
 	},
 	"internal/engine/plan_alloc_test.go": {
 		file:    "internal/engine/plan_test.go",
-		symbols: []string{"digest"},
+		symbols: []string{"digest", "Submit"},
 	},
 	"internal/hotness/alloc_test.go": {
 		file:    "internal/hotness/hotness_test.go",
@@ -47,7 +47,7 @@ var raceExcludeAllowlist = map[string]raceSibling{
 	},
 	"internal/proxy/flush_alloc_test.go": {
 		file:    "internal/proxy/coalesce_test.go",
-		symbols: []string{"sortByNVMOff", "runSpan", "assembleRun"},
+		symbols: []string{"sortByNVMOff", "runSpan", "assembleRun", "Submit"},
 	},
 	"internal/rpc/alloc_test.go": {
 		file:    "internal/rpc/rpc_test.go",

@@ -129,13 +129,15 @@ func TestShapeE7GengarWinsMixedWorkloads(t *testing.T) {
 	if imp := parse("F", 4); imp < 10 {
 		t.Errorf("YCSB-F improvement %.1f%% < 10%%", imp)
 	}
-	// DRAM-Pool remains the upper bound for read-dominated workloads.
-	// (On write-heavy mixes Gengar may edge past it: a staged-write ACK
-	// is a weaker durability point than the baseline's synchronous
-	// store, so the comparison is not bound-shaped there.)
+	// On read-dominated workloads Gengar over NVM is bounded by the same
+	// system over a DRAM pool. Plain DRAM-Pool is no bound: hot copies
+	// also take queueing off a hot home, which a cache-less pool pays.
+	// (On write-heavy mixes the comparison is not bound-shaped: a
+	// staged-write ACK is a weaker durability point than a synchronous
+	// store.)
 	for _, w := range []string{"B", "C"} {
-		if g, d := parse(w, 1), parse(w, 3); g > d*1.05 {
-			t.Errorf("workload %s: Gengar %.1f above DRAM-Pool bound %.1f", w, g, d)
+		if g, d := parse(w, 1), parse(w, 5); g > d*1.05 {
+			t.Errorf("workload %s: Gengar %.1f above Gengar-DRAM bound %.1f", w, g, d)
 		}
 	}
 }

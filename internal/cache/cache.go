@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -83,58 +84,185 @@ func DecodeLocation(r *rpc.Reader, names map[string]string) Location {
 	}
 }
 
+// CopyGranule is the DRAM buffer arena's allocation unit. Copies start
+// on a granule boundary, so every copy header — and its seqlock word —
+// is cache-line and word aligned.
+const CopyGranule = 64
+
+// CopyFootprint returns the arena bytes a promoted copy of a size-byte
+// object occupies: its header plus data, rounded up to whole granules
+// (1 088 B for a 1 KiB object). Planners budget this, placers reserve
+// it, and BufferPool.UsedBytes counts it.
+func CopyFootprint(size int64) int64 {
+	if size <= 0 {
+		return 0
+	}
+	return (CopyHeaderBytes + size + CopyGranule - 1) &^ (CopyGranule - 1)
+}
+
 // BufferPool manages one server's DRAM buffer arena: the capacity pledged
-// to hold promoted copies. It wraps a buddy allocator over a DRAM device;
-// registration of the arena as an RDMA region is the server's job.
+// to hold promoted copies. It packs copies at CopyGranule granularity —
+// a copy costs CopyFootprint, not the next power of two — with two
+// bitmaps over the granules: inUse marks occupied granules, start marks
+// the first granule of each placed copy, so Release needs only the
+// offset. Placement is first fit from a next-fit cursor. One mutex
+// guards the bitmaps: places and releases come from promotion rounds
+// and peer spill, never from the data path. Registration of the arena
+// as an RDMA region is the server's job.
 type BufferPool struct {
-	dev   *hmem.Device
-	buddy *alloc.ShardedPool
+	dev  *hmem.Device
+	used atomic.Int64 // bytes in placed copies, readable without mu
+
+	mu     sync.Mutex
+	n      int      // granules in the arena
+	inUse  []uint64 // bit g: granule g is part of a placed copy
+	start  []uint64 // bit g: a placed copy begins at granule g
+	cursor int      // next-fit search start
 }
 
 // NewBufferPool returns a pool over the whole of dev, whose size must be
-// a power of two.
+// a positive multiple of CopyGranule.
 func NewBufferPool(dev *hmem.Device) (*BufferPool, error) {
 	if dev.Kind() != hmem.KindDRAM {
 		return nil, fmt.Errorf("cache: buffer pool requires DRAM device, got %v", dev.Kind())
 	}
-	b, err := alloc.NewSharded(dev.Size())
-	if err != nil {
-		return nil, fmt.Errorf("cache: %w", err)
+	size := dev.Size()
+	if size <= 0 || size%CopyGranule != 0 {
+		return nil, fmt.Errorf("cache: arena of %d bytes is not a positive multiple of %d", size, CopyGranule)
 	}
-	return &BufferPool{dev: dev, buddy: b}, nil
+	n := int(size / CopyGranule)
+	words := (n + 63) / 64
+	return &BufferPool{dev: dev, n: n, inUse: make([]uint64, words), start: make([]uint64, words)}, nil
 }
 
 // Device returns the DRAM device backing the pool.
 func (p *BufferPool) Device() *hmem.Device { return p.dev }
 
-// Place reserves space for an object copy of the given size and returns
-// its offset within the arena.
+// errArenaFull is Place's answer when no run of free granules is long
+// enough. It is one value, so a full arena costs a plan round nothing.
+var errArenaFull = fmt.Errorf("cache: no run of free granules long enough: %w", alloc.ErrOutOfMemory)
+
+// Place reserves size bytes, rounded up to whole granules, and returns
+// their offset within the arena. A copy takes size = CopyHeaderBytes +
+// its data bytes. It fails with alloc.ErrOutOfMemory when no run of free
+// granules is long enough.
 func (p *BufferPool) Place(size int64) (int64, error) {
-	off, err := p.buddy.Alloc(size)
-	if err != nil {
-		return 0, fmt.Errorf("cache: place %d bytes: %w", size, err)
+	if size <= 0 {
+		return 0, fmt.Errorf("cache: place of %d bytes", size)
 	}
-	return off, nil
+	g := int((size + CopyGranule - 1) / CopyGranule)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	at, ok := p.fit(p.cursor, p.n, g)
+	if !ok {
+		at, ok = p.fit(0, p.cursor, g)
+	}
+	if !ok {
+		return 0, errArenaFull
+	}
+	setBits(p.inUse, at, at+g)
+	p.start[at/64] |= 1 << (at % 64)
+	if p.cursor = at + g; p.cursor == p.n {
+		p.cursor = 0
+	}
+	p.used.Add(int64(g) * CopyGranule)
+	return int64(at) * CopyGranule, nil
 }
 
-// Release frees a previously placed copy.
-func (p *BufferPool) Release(off int64) error {
-	if err := p.buddy.Free(off); err != nil {
-		return fmt.Errorf("cache: release: %w", err)
+// fit returns the first granule in [from, to) that begins a run of g
+// free granules (the run may extend past to). Caller holds mu.
+func (p *BufferPool) fit(from, to, g int) (int, bool) {
+	for i := from; i < to; {
+		i = p.nextFree(i)
+		if i >= to || i+g > p.n {
+			return 0, false
+		}
+		j := p.nextUsed(i, i+g)
+		if j == i+g {
+			return i, true
+		}
+		i = j
 	}
+	return 0, false
+}
+
+// nextFree returns the first free granule at or after i (p.n if none),
+// skipping full bitmap words whole. Caller holds mu.
+func (p *BufferPool) nextFree(i int) int {
+	for i < p.n {
+		w := ^p.inUse[i/64] >> (i % 64)
+		if w != 0 {
+			return min(i+bits.TrailingZeros64(w), p.n)
+		}
+		i = (i/64 + 1) * 64
+	}
+	return p.n
+}
+
+// nextUsed returns the first used granule in [i, limit), or limit.
+// Caller holds mu.
+func (p *BufferPool) nextUsed(i, limit int) int {
+	for i < limit {
+		w := p.inUse[i/64] >> (i % 64)
+		if w != 0 {
+			return min(i+bits.TrailingZeros64(w), limit)
+		}
+		i = (i/64 + 1) * 64
+	}
+	return limit
+}
+
+// Release frees the copy placed at off. An offset that is not the start
+// of a placed copy — never placed, already released, or inside another
+// copy — is an error and changes nothing.
+func (p *BufferPool) Release(off int64) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if off < 0 || off%CopyGranule != 0 || off/CopyGranule >= int64(p.n) {
+		return fmt.Errorf("cache: release of offset %d: not a granule of the arena", off)
+	}
+	at := int(off / CopyGranule)
+	if p.start[at/64]&(1<<(at%64)) == 0 {
+		return fmt.Errorf("cache: release of offset %d: no copy starts there", off)
+	}
+	p.start[at/64] &^= 1 << (at % 64)
+	// The copy runs to the next free granule or the next copy's start,
+	// whichever comes first.
+	end := at + 1
+	for end < p.n && p.inUse[end/64]&(1<<(end%64)) != 0 && p.start[end/64]&(1<<(end%64)) == 0 {
+		end++
+	}
+	clearBits(p.inUse, at, end)
+	p.used.Add(-int64(end-at) * CopyGranule)
 	return nil
 }
 
-// UsedBytes returns the bytes currently holding promoted copies
-// (rounded to allocator blocks).
-func (p *BufferPool) UsedBytes() int64 { return p.buddy.AllocatedBytes() }
+// setBits sets bits [lo, hi) of bm.
+func setBits(bm []uint64, lo, hi int) {
+	for lo < hi {
+		w, b := lo/64, lo%64
+		n := min(64-b, hi-lo)
+		bm[w] |= (^uint64(0) >> (64 - n)) << b
+		lo += n
+	}
+}
+
+// clearBits clears bits [lo, hi) of bm.
+func clearBits(bm []uint64, lo, hi int) {
+	for lo < hi {
+		w, b := lo/64, lo%64
+		n := min(64-b, hi-lo)
+		bm[w] &^= (^uint64(0) >> (64 - n)) << b
+		lo += n
+	}
+}
+
+// UsedBytes returns the bytes currently holding promoted copies, in
+// whole granules.
+func (p *BufferPool) UsedBytes() int64 { return p.used.Load() }
 
 // Capacity returns the arena size.
-func (p *BufferPool) Capacity() int64 { return p.buddy.ArenaSize() }
-
-// Allocator returns the sharded allocator behind the arena, for
-// per-shard occupancy telemetry.
-func (p *BufferPool) Allocator() *alloc.ShardedPool { return p.buddy }
+func (p *BufferPool) Capacity() int64 { return int64(p.n) * CopyGranule }
 
 // RemapTable is the home server's authoritative object->DRAM-copy map.
 // Every batch of mutations bumps the epoch; clients compare epochs to
@@ -235,26 +363,35 @@ func (t *RemapTable) remove(b []remapBucket, addr region.GAddr) *remapEntry {
 	return nil
 }
 
+// RemapAdd is one promotion in an Apply batch: addr's copy now lives
+// at Loc.
+type RemapAdd struct {
+	Addr region.GAddr
+	Loc  Location
+}
+
 // Apply installs a batch of promotions and removals and bumps the epoch
-// once (if anything changed). Removed entries are returned so the caller
-// can release their buffer space.
-func (t *RemapTable) Apply(add map[region.GAddr]Location, remove []region.GAddr) []Location {
+// once (if anything changed). The locations of removed entries are
+// appended to released, which is returned, so the caller can release
+// their buffer space; a caller that passes a reused buffer allocates
+// nothing for them.
+func (t *RemapTable) Apply(add []RemapAdd, remove []region.GAddr, released []Location) []Location {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	b := *t.buckets.Load()
-	var released []Location
+	before := len(released)
 	for _, a := range remove {
 		if e := t.remove(b, a); e != nil {
 			released = append(released, e.loc)
 		}
 	}
-	for a, loc := range add {
-		t.remove(b, a) // a re-promotion replaces the entry
-		bucketOf(b, a).push(a, loc)
+	for _, ad := range add {
+		t.remove(b, ad.Addr) // a re-promotion replaces the entry
+		bucketOf(b, ad.Addr).push(ad.Addr, ad.Loc)
 		t.n.Add(1)
 	}
-	if len(add) == 0 && len(released) == 0 {
-		return nil // a free or demotion of an unpromoted object: same epoch
+	if len(add) == 0 && len(released) == before {
+		return released // a free or demotion of an unpromoted object: same epoch
 	}
 	if int(t.n.Load()) > len(b) {
 		// Entries outnumber buckets: publish an array of twice the size

@@ -3,7 +3,9 @@ package cache
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -15,6 +17,15 @@ import (
 )
 
 func ga(off int64) region.GAddr { return region.MustGAddr(1, off) }
+
+// adds lists a map of promotions as an Apply batch.
+func adds(m map[region.GAddr]Location) []RemapAdd {
+	out := make([]RemapAdd, 0, len(m))
+	for a, loc := range m {
+		out = append(out, RemapAdd{a, loc})
+	}
+	return out
+}
 
 func TestLocationWireRoundtrip(t *testing.T) {
 	l := Location{Node: "s2", RKey: 7, Off: 4096, Size: 1024, Gen: 9, HomeMR: 3}
@@ -68,7 +79,7 @@ func TestBufferPoolBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.UsedBytes() != alloc.BlockSize(100) {
+	if p.UsedBytes() != 2*CopyGranule {
 		t.Fatalf("UsedBytes = %d", p.UsedBytes())
 	}
 	if err := p.Release(off); err != nil {
@@ -105,7 +116,292 @@ func TestBufferPoolRejectsNonPow2(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := NewBufferPool(dev); err == nil {
-		t.Fatal("non-power-of-two arena accepted")
+		t.Fatal("arena that is not a whole number of granules accepted")
+	}
+}
+
+// TestBufferPoolPacksCopies: a copy costs CopyFootprint — header plus
+// data in whole granules — so a 4 MiB arena holds 3 855 copies of a
+// 1 KiB object (1 088 B each), not the 2 048 a power-of-two block
+// arena holds. Every copy is granule aligned and they never overlap.
+func TestBufferPoolPacksCopies(t *testing.T) {
+	const arena = 4 << 20
+	fp := CopyFootprint(1024)
+	if fp != 1088 {
+		t.Fatalf("CopyFootprint(1024) = %d, want 1088", fp)
+	}
+	p := newPool(t, arena)
+	var offs []int64
+	for {
+		off, err := p.Place(CopyHeaderBytes + 1024)
+		if err != nil {
+			if !errors.Is(err, alloc.ErrOutOfMemory) {
+				t.Fatalf("place %d: %v", len(offs), err)
+			}
+			break
+		}
+		offs = append(offs, off)
+	}
+	if want := arena / fp; len(offs) != int(want) || want != 3855 {
+		t.Fatalf("arena holds %d copies, want %d (3855)", len(offs), want)
+	}
+	if p.UsedBytes() != int64(len(offs))*fp {
+		t.Fatalf("UsedBytes = %d, want %d", p.UsedBytes(), int64(len(offs))*fp)
+	}
+	slices.Sort(offs)
+	for i, off := range offs {
+		if off%CopyGranule != 0 || (i > 0 && off < offs[i-1]+fp) || off+fp > arena {
+			t.Fatalf("copy %d at %d (previous at %d): misaligned or overlapping", i, off, offs[max(i-1, 0)])
+		}
+	}
+}
+
+// TestBufferPoolReleaseAndReuse: released copies give their granules
+// back, and a full arena places again exactly where copies left.
+func TestBufferPoolReleaseAndReuse(t *testing.T) {
+	p := newPool(t, 1<<12) // 64 granules
+	var offs []int64
+	for {
+		off, err := p.Place(100) // 2 granules
+		if err != nil {
+			break
+		}
+		offs = append(offs, off)
+	}
+	if len(offs) != 32 || p.UsedBytes() != p.Capacity() {
+		t.Fatalf("%d copies, %d of %d bytes used", len(offs), p.UsedBytes(), p.Capacity())
+	}
+	freed := map[int64]bool{offs[3]: true, offs[17]: true, offs[31]: true}
+	for off := range freed {
+		if err := p.Release(off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.UsedBytes() != p.Capacity()-3*2*CopyGranule {
+		t.Fatalf("UsedBytes after 3 releases = %d", p.UsedBytes())
+	}
+	for i := 0; i < 3; i++ {
+		off, err := p.Place(128)
+		if err != nil {
+			t.Fatalf("reuse %d: %v", i, err)
+		}
+		if !freed[off] {
+			t.Fatalf("reuse %d landed at %d, not in a freed slot", i, off)
+		}
+		delete(freed, off)
+	}
+	if _, err := p.Place(1); !errors.Is(err, alloc.ErrOutOfMemory) {
+		t.Fatalf("place into a full arena: %v", err)
+	}
+}
+
+// TestBufferPoolFragmentation: mixed sizes leave holes; a copy needs
+// one run of free granules, not just enough free bytes, and neighbours
+// released together merge into a run.
+func TestBufferPoolFragmentation(t *testing.T) {
+	p := newPool(t, 16*CopyGranule)
+	offs := make([]int64, 16)
+	for i := range offs {
+		var err error
+		if offs[i], err = p.Place(CopyGranule); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i += 2 {
+		if err := p.Release(offs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Eight free granules, none adjacent.
+	if _, err := p.Place(2 * CopyGranule); !errors.Is(err, alloc.ErrOutOfMemory) {
+		t.Fatalf("two-granule copy placed in a checkerboard: %v", err)
+	}
+	// Freeing granule 5 joins 4..6 into one three-granule run.
+	if err := p.Release(offs[5]); err != nil {
+		t.Fatal(err)
+	}
+	off, err := p.Place(3 * CopyGranule)
+	if err != nil || off != offs[4] {
+		t.Fatalf("three-granule copy at %d (%v), want %d", off, err, offs[4])
+	}
+	// The three-granule copy releases as one unit, and its neighbours are
+	// untouched.
+	if err := p.Release(off); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Release(offs[3]); err != nil {
+		t.Fatalf("neighbour below: %v", err)
+	}
+	if err := p.Release(offs[7]); err != nil {
+		t.Fatalf("neighbour above: %v", err)
+	}
+	// A random mix against a model: no two live copies overlap, and
+	// UsedBytes is always the sum of their footprints.
+	rng := rand.New(rand.NewSource(7))
+	p = newPool(t, 1<<14)
+	live := make(map[int64]int64) // offset -> footprint
+	var want int64
+	for i := 0; i < 5000; i++ {
+		if len(live) > 0 && rng.Intn(3) == 0 {
+			for off, fp := range live {
+				if err := p.Release(off); err != nil {
+					t.Fatalf("step %d: release %d: %v", i, off, err)
+				}
+				delete(live, off)
+				want -= fp
+				break
+			}
+		} else {
+			size := int64(1 + rng.Intn(1200))
+			off, err := p.Place(size)
+			fp := (size + CopyGranule - 1) / CopyGranule * CopyGranule
+			if err == nil {
+				for o, f := range live {
+					if off < o+f && o < off+fp {
+						t.Fatalf("step %d: [%d,+%d) overlaps live [%d,+%d)", i, off, fp, o, f)
+					}
+				}
+				live[off] = fp
+				want += fp
+			} else if !errors.Is(err, alloc.ErrOutOfMemory) {
+				t.Fatal(err)
+			}
+		}
+		if p.UsedBytes() != want {
+			t.Fatalf("step %d: UsedBytes %d, want %d", i, p.UsedBytes(), want)
+		}
+	}
+}
+
+// TestBufferPoolReleaseErrors: releasing anything but the start of a
+// placed copy is an error and changes nothing.
+func TestBufferPoolReleaseErrors(t *testing.T) {
+	p := newPool(t, 1<<12)
+	off, err := p.Place(5 * CopyGranule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := p.UsedBytes()
+	for _, bad := range []int64{off + CopyGranule, off + 4*CopyGranule, off + 8, -CopyGranule, p.Capacity(), off + 5*CopyGranule} {
+		if err := p.Release(bad); err == nil {
+			t.Fatalf("release of %d accepted", bad)
+		}
+		if p.UsedBytes() != used {
+			t.Fatalf("failed release of %d changed UsedBytes to %d", bad, p.UsedBytes())
+		}
+	}
+	if err := p.Release(off); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Release(off); err == nil {
+		t.Fatal("double release accepted")
+	}
+	if p.UsedBytes() != 0 {
+		t.Fatalf("UsedBytes = %d after release", p.UsedBytes())
+	}
+}
+
+// TestBufferPoolConcurrent: four goroutines place and release copies of
+// mixed sizes at once (run it under -race). Each claims the granules of
+// every copy it is given in a shared ownership table, so two live copies
+// that overlapped would collide there.
+func TestBufferPoolConcurrent(t *testing.T) {
+	p := newPool(t, 1<<16)
+	owner := make([]atomic.Int32, p.Capacity()/CopyGranule)
+	var wg sync.WaitGroup
+	for w := int32(1); w <= 4; w++ {
+		wg.Add(1)
+		go func(w int32) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			var mine []int64
+			claim := func(off, size int64, from, to int32) bool {
+				for g := off / CopyGranule; g < (off+size+CopyGranule-1)/CopyGranule; g++ {
+					if !owner[g].CompareAndSwap(from, to) {
+						t.Errorf("worker %d: granule %d of copy at %d owned by %d", w, g, off, owner[g].Load())
+						return false
+					}
+				}
+				return true
+			}
+			sizes := make(map[int64]int64)
+			for i := 0; i < 2000; i++ {
+				if len(mine) > 8 || (len(mine) > 0 && rng.Intn(2) == 0) {
+					off := mine[len(mine)-1]
+					mine = mine[:len(mine)-1]
+					if !claim(off, sizes[off], w, 0) {
+						return
+					}
+					if err := p.Release(off); err != nil {
+						t.Errorf("worker %d: release %d: %v", w, off, err)
+						return
+					}
+					continue
+				}
+				size := CopyFootprint(int64(1 + rng.Intn(2048)))
+				off, err := p.Place(size)
+				if err != nil {
+					continue // full for now
+				}
+				if !claim(off, size, 0, w) {
+					return
+				}
+				sizes[off] = size
+				mine = append(mine, off)
+			}
+			for _, off := range mine {
+				claim(off, sizes[off], w, 0)
+				if err := p.Release(off); err != nil {
+					t.Errorf("worker %d: final release %d: %v", w, off, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if p.UsedBytes() != 0 {
+		t.Fatalf("UsedBytes = %d after every copy was released", p.UsedBytes())
+	}
+}
+
+// BenchmarkBufferPoolPlace measures one place and release of a 1 KiB
+// copy in a 4 MiB arena that is full but for 16 scattered slots — the
+// promotion round's steady state once the hot set fills the arena.
+func BenchmarkBufferPoolPlace(b *testing.B) {
+	dev, err := hmem.NewDevice("dram-buf", 4<<20, hmem.DRAMProfile())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := NewBufferPool(dev)
+	if err != nil {
+		b.Fatal(err)
+	}
+	size := CopyFootprint(1024)
+	var offs []int64
+	for {
+		off, err := p.Place(size)
+		if err != nil {
+			break
+		}
+		offs = append(offs, off)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 16; i++ {
+		j := rng.Intn(len(offs))
+		if err := p.Release(offs[j]); err != nil {
+			b.Fatal(err)
+		}
+		offs = append(offs[:j], offs[j+1:]...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off, err := p.Place(size)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := p.Release(off); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -115,7 +411,7 @@ func TestRemapTableEpochs(t *testing.T) {
 		t.Fatal("fresh table not empty")
 	}
 	loc := Location{Node: "s1", RKey: 1, Off: 0, Size: 64}
-	released := rt.Apply(map[region.GAddr]Location{ga(64): loc}, nil)
+	released := rt.Apply([]RemapAdd{{ga(64), loc}}, nil, nil)
 	if len(released) != 0 || rt.Epoch() != 1 || rt.Len() != 1 {
 		t.Fatalf("after promote: epoch=%d len=%d", rt.Epoch(), rt.Len())
 	}
@@ -127,27 +423,27 @@ func TestRemapTableEpochs(t *testing.T) {
 		t.Fatal("phantom lookup")
 	}
 	// Empty apply does not bump the epoch.
-	if released := rt.Apply(nil, nil); released != nil || rt.Epoch() != 1 {
+	if released := rt.Apply(nil, nil, nil); released != nil || rt.Epoch() != 1 {
 		t.Fatal("no-op apply bumped epoch")
 	}
 	// Removing a non-promoted address is a no-op too (every free and
 	// demotion of an unpromoted object takes this path), and costs no
 	// allocation.
 	absent := []region.GAddr{ga(999), ga(128)}
-	if released := rt.Apply(nil, absent); released != nil || rt.Epoch() != 1 {
+	if released := rt.Apply(nil, absent, nil); released != nil || rt.Epoch() != 1 {
 		t.Fatal("no-op removal bumped epoch")
 	}
-	if n := testing.AllocsPerRun(100, func() { rt.Apply(nil, absent) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { rt.Apply(nil, absent, nil) }); n != 0 {
 		t.Fatalf("no-op removal allocates %v", n)
 	}
 	// A batch that adds, removes a promoted entry, names it twice and names
 	// an unpromoted one is one change: one epoch, one release.
 	loc2 := Location{Node: "s1", RKey: 1, Off: 64, Size: 64}
-	released = rt.Apply(map[region.GAddr]Location{ga(256): loc2}, []region.GAddr{ga(999), ga(64), ga(64)})
+	released = rt.Apply([]RemapAdd{{ga(256), loc2}}, []region.GAddr{ga(999), ga(64), ga(64)}, nil)
 	if len(released) != 1 || released[0] != loc || rt.Epoch() != 2 || rt.Len() != 1 {
 		t.Fatalf("swap: released=%v epoch=%d len=%d", released, rt.Epoch(), rt.Len())
 	}
-	released = rt.Apply(nil, []region.GAddr{ga(256)})
+	released = rt.Apply(nil, []region.GAddr{ga(256)}, nil)
 	if len(released) != 1 || released[0] != loc2 || rt.Epoch() != 3 || rt.Len() != 0 {
 		t.Fatalf("demote: released=%v epoch=%d", released, rt.Epoch())
 	}
@@ -155,10 +451,10 @@ func TestRemapTableEpochs(t *testing.T) {
 
 func TestRemapTableSnapshot(t *testing.T) {
 	rt := NewRemapTable()
-	rt.Apply(map[region.GAddr]Location{
-		ga(64):  {Size: 64},
-		ga(256): {Size: 128},
-	}, nil)
+	rt.Apply([]RemapAdd{
+		{ga(64), Location{Size: 64}},
+		{ga(256), Location{Size: 128}},
+	}, nil, nil)
 	epoch, snap := rt.Snapshot()
 	if epoch != 1 || len(snap) != 2 {
 		t.Fatalf("snapshot: %d %v", epoch, snap)
@@ -271,7 +567,7 @@ func TestClientViewMatchesTableProperty(t *testing.T) {
 				add[ga(int64(i)*128)] = Location{Size: 64}
 			}
 		}
-		rt.Apply(add, nil)
+		rt.Apply(adds(add), nil, nil)
 		v := NewClientView()
 		var w rpc.Writer
 		rt.EncodeSnapshot(&w)
@@ -336,7 +632,7 @@ func TestRemapTableMatchesMap(t *testing.T) {
 		if len(add) > 0 || len(want) > 0 {
 			epoch++
 		}
-		released := rt.Apply(add, remove)
+		released := rt.Apply(adds(add), remove, nil)
 		if len(released) != len(want) {
 			t.Fatalf("round %d: released %v, want %v", round, released, want)
 		}
@@ -399,7 +695,7 @@ func TestRemapTableReadersVersusPlanner(t *testing.T) {
 	for i := 0; i < slots; i++ {
 		add[home(i, 0)] = Location{Off: int64(i), Gen: 1}
 	}
-	rt.Apply(add, nil)
+	rt.Apply(adds(add), nil, nil)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -463,7 +759,7 @@ func TestRemapTableReadersVersusPlanner(t *testing.T) {
 			side[i] = 1 - side[i]
 			add[home(i, side[i])] = Location{Off: int64(i), Gen: rt.Epoch() + 1}
 		}
-		if released := rt.Apply(add, remove); len(released) != len(remove) {
+		if released := rt.Apply(adds(add), remove, nil); len(released) != len(remove) {
 			t.Fatalf("round %d: released %d of %d", round, len(released), len(remove))
 		}
 	}

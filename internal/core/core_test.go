@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gengar/internal/cache"
 	"gengar/internal/config"
 	"gengar/internal/region"
 	"gengar/internal/server"
@@ -313,7 +314,7 @@ func TestStaleGenerationFallback(t *testing.T) {
 	// A through the stale view must detect the reuse and fall back.
 	cfg := testConfig()
 	cfg.Servers = 1
-	cfg.DRAMBufferBytes = 1 << 10 // fits one 512B copy (rounded 1024 incl header)
+	cfg.DRAMBufferBytes = 1 << 10 // fits one 512 B copy (576 B with its header), not two
 	c := newTestCluster(t, cfg)
 	cl := connect(t, c, "u1")
 
@@ -356,6 +357,160 @@ func TestStaleGenerationFallback(t *testing.T) {
 		if buf[i] != 'A' {
 			t.Fatalf("stale-view read returned wrong byte %q at %d", buf[i], i)
 		}
+	}
+}
+
+// TestStaleViewInsideNewerCopy: the buffer arena packs copies at any
+// 64-byte granule, so a demoted copy's offset can fall strictly inside a
+// newer, larger copy instead of on its header. A one-sided read through
+// a view that still names the old copy then compares the newer copy's
+// data bytes with its generation; they differ, and the read falls back
+// to NVM.
+func TestStaleViewInsideNewerCopy(t *testing.T) {
+	cfg := testConfig()
+	cfg.Servers = 1
+	cfg.DRAMBufferBytes = 4 * cache.CopyGranule // A's copy (2 granules) or B's (3), not both
+	c := newTestCluster(t, cfg)
+	srv, _ := c.Registry().ByID(1)
+	bufp := srv.Core().BufferPool()
+	// A filler in granule 0 puts A's copy at granules 1-2.
+	filler, err := bufp.Place(cache.CopyGranule)
+	if err != nil || filler != 0 {
+		t.Fatalf("filler at %d: %v", filler, err)
+	}
+	cl := connect(t, c, "u1")
+	a, _ := cl.Malloc(64)
+	b, _ := cl.Malloc(128)
+	if err := cl.Write(a, bytes.Repeat([]byte{'A'}, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Write(b, bytes.Repeat([]byte{'B'}, 128)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	for i := 0; i < 32; i++ {
+		if err := cl.Read(a, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(t, c, cl, a)
+	settle(t, c, cl, a)
+	old, ok := srv.Core().Remap().Lookup(a)
+	if !ok || old.Off != cache.CopyGranule {
+		t.Fatalf("A's copy: %+v (promoted %v), want it at granule 1", old, ok)
+	}
+	// Free granule 0 and fill granule 3: the next placement wraps to the
+	// arena's start, so B's copy covers granules 0-2, A's old header
+	// among them.
+	if err := bufp.Release(filler); err != nil {
+		t.Fatal(err)
+	}
+	if off, err := bufp.Place(cache.CopyGranule); err != nil || off != 3*cache.CopyGranule {
+		t.Fatalf("tail filler at %d: %v", off, err)
+	}
+
+	// A second client makes B far hotter, so the planner displaces A.
+	cl2 := connect(t, c, "u2")
+	big := make([]byte, 128)
+	for i := 0; i < 256; i++ {
+		if err := cl2.Read(b, big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(t, c, cl2, b)
+	settle(t, c, cl2, b)
+	if _, still := srv.Core().Remap().Lookup(a); still {
+		t.Fatal("A was not demoted")
+	}
+	if loc, ok := srv.Core().Remap().Lookup(b); !ok || loc.Off != 0 || old.Off <= loc.Off || old.Off >= loc.Off+cache.CopyFootprint(loc.Size) {
+		t.Fatalf("B's copy %+v (promoted %v) does not cover A's old header at %d", loc, ok, old.Off)
+	}
+
+	// cl's view still maps A to the offset that is now inside B's copy.
+	stale := cl.staleGen.Load()
+	if err := cl.Read(a, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, bytes.Repeat([]byte{'A'}, 64)) {
+		t.Fatalf("stale-view read returned %q", buf)
+	}
+	if cl.staleGen.Load() == stale {
+		t.Fatal("the read through the stale view was not detected as stale")
+	}
+}
+
+// TestDemotedCopyFailsStaleView: a demoted copy's slot that nobody
+// reuses still holds the object's old bytes. A client whose view still
+// names it must not read them: the release zeroes the generation, so
+// the read — here under a shared lock, after another client's locked
+// write completed — falls back to NVM and sees the write.
+func TestDemotedCopyFailsStaleView(t *testing.T) {
+	// Two servers, so a copy may land on either arena; each home budgets
+	// one 512 B copy (576 B), not two.
+	cfg := testConfig()
+	cfg.DRAMBufferBytes = 1 << 10
+	c := newTestCluster(t, cfg)
+	s1, _ := c.Registry().ByID(1)
+	cl := connect(t, c, "u1")
+	a, _ := cl.MallocOn(1, 512)
+	b, _ := cl.MallocOn(1, 512)
+	if err := cl.Write(a, bytes.Repeat([]byte{'A'}, 512)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 512)
+	for i := 0; i < 32; i++ {
+		if err := cl.Read(a, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(t, c, cl, a)
+	settle(t, c, cl, a)
+	old, ok := s1.Core().Remap().Lookup(a)
+	if !ok || old.Node != s1.Node().ID() {
+		t.Fatalf("A's copy: %+v (promoted %v), want it on server 1", old, ok)
+	}
+	// A filler on server 1 leaves server 2 the most free arena, so B's
+	// copy goes there and A's slot is released but never reused.
+	if _, err := s1.Core().BufferPool().Place(cache.CopyGranule); err != nil {
+		t.Fatal(err)
+	}
+	cl2 := connect(t, c, "u2")
+	for i := 0; i < 256; i++ {
+		if err := cl2.Read(b, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(t, c, cl2, b)
+	settle(t, c, cl2, b)
+	if _, still := s1.Core().Remap().Lookup(a); still {
+		t.Fatal("A was not demoted")
+	}
+	if loc, ok := s1.Core().Remap().Lookup(b); !ok || loc.Node == old.Node {
+		t.Fatalf("B's copy %+v (promoted %v) reused A's arena", loc, ok)
+	}
+
+	if err := cl2.LockExclusive(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl2.Write(a, bytes.Repeat([]byte{'Z'}, 512)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl2.UnlockExclusive(a); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, c, cl2, a)
+	// cl's view still maps A to its released slot.
+	if err := cl.LockShared(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Read(a, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.UnlockShared(a); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, bytes.Repeat([]byte{'Z'}, 512)) {
+		t.Fatalf("a read after the locked write completed returned %q..., want Z", buf[:8])
 	}
 }
 

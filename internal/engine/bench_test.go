@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"testing"
 	"time"
 
@@ -169,7 +170,7 @@ func TestMallocFreeFlatInLiveObjects(t *testing.T) {
 
 // promotedSizes are the resident-set sizes the planner benchmarks run
 // at: a promotion round must cost the same whether 64 copies are held or
-// 2048 (the benchmark daemon's 4 MiB arena of 1 KiB objects).
+// 2048.
 var promotedSizes = []int{64, 2048}
 
 // planStream is a stationary access stream for the planner benchmarks:
@@ -190,18 +191,30 @@ type planStream struct {
 
 const planSketchK = 4096
 
+// copyBudget sizes a planner test for exactly `copies` promoted 1 KiB
+// objects: the plan budget is copies copy footprints, and the arena is
+// the smallest power of two (the config's rule) that holds them. The
+// arena alone would hold more — 64 footprints round up to a 128 KiB
+// arena of 120 — so the tests pin the budget instead.
+func copyBudget(copies int) (budget, arena int64) {
+	budget = int64(copies) * cache.CopyFootprint(1024)
+	return budget, 1 << bits.Len64(uint64(budget-1))
+}
+
 func newPlanStream(tb testing.TB, promoted int, placer func(*Engine) Placer) *planStream {
 	tb.Helper()
 	cfg := config.Default()
 	cfg.Servers = 1
 	cfg.NVMBytes = 256 << 20
-	cfg.DRAMBufferBytes = int64(promoted) * 2048 // a 1 KiB copy and its header: one 2 KiB block
+	budget, arena := copyBudget(promoted)
+	cfg.DRAMBufferBytes = arena
 	cfg.Hotness.SketchK = planSketchK
 	eng, err := New(Config{ID: 1, Name: "eng-plan", Cluster: cfg})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(eng.Close)
+	eng.policy.BudgetBytes = budget
 	eng.SetPlacer(placer(eng))
 	addrs := make([]region.GAddr, planSketchK)
 	for i := range addrs {
@@ -247,7 +260,7 @@ type flipPlacer struct {
 
 func (p *flipPlacer) CopyBudget() int64 {
 	p.calls++
-	return p.arena - int64(p.calls%2)*16*2048
+	return p.arena - int64(p.calls%2)*16*cache.CopyFootprint(1024)
 }
 
 // BenchmarkPlanRound measures one digest of 32 reads plus the promotion
@@ -272,7 +285,8 @@ func BenchmarkPlanRound(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("promoted=%d/churn16", promoted), func(b *testing.B) {
 			s := newPlanStream(b, promoted, func(e *Engine) Placer {
-				return &flipPlacer{LocalPlacer: NewLocalPlacer(e), arena: int64(promoted) * 2048}
+				budget, _ := copyBudget(promoted)
+				return &flipPlacer{LocalPlacer: NewLocalPlacer(e), arena: budget}
 			})
 			before := s.eng.Stats()
 			b.ReportAllocs()
@@ -296,26 +310,27 @@ func BenchmarkRemapApply(b *testing.B) {
 	for _, entries := range promotedSizes {
 		b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
 			rt := cache.NewRemapTable()
+			fp := cache.CopyFootprint(1024)
 			base := func(i int) region.GAddr { return region.MustGAddr(1, int64(i)*1024) }
 			// Objects [lo, lo+entries) are promoted; each batch slides the
 			// window by 16.
-			fill := make(map[region.GAddr]cache.Location, entries)
-			for i := 0; i < entries; i++ {
-				fill[base(i)] = cache.Location{Off: int64(i) * 2048, Size: 1024, Gen: 1}
+			fill := make([]cache.RemapAdd, entries)
+			for i := range fill {
+				fill[i] = cache.RemapAdd{Addr: base(i), Loc: cache.Location{Off: int64(i) * fp, Size: 1024, Gen: 1}}
 			}
-			rt.Apply(fill, nil)
-			add := make(map[region.GAddr]cache.Location, 16)
+			rt.Apply(fill, nil, nil)
+			add := make([]cache.RemapAdd, 16)
 			remove := make([]region.GAddr, 16)
+			var released []cache.Location
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				lo := 16 * i
-				clear(add)
 				for j := 0; j < 16; j++ {
 					remove[j] = base(lo + j)
-					add[base(lo+entries+j)] = cache.Location{Off: int64(lo+j) * 2048, Size: 1024, Gen: uint64(i + 2)}
+					add[j] = cache.RemapAdd{Addr: base(lo + entries + j), Loc: cache.Location{Off: int64(lo+j) * fp, Size: 1024, Gen: uint64(i + 2)}}
 				}
-				if released := rt.Apply(add, remove); len(released) != 16 {
+				if released = rt.Apply(add, remove, released[:0]); len(released) != 16 {
 					b.Fatalf("batch %d released %d copies", i, len(released))
 				}
 			}

@@ -116,6 +116,16 @@ type Engine struct {
 	planning        atomic.Bool
 	promote, demote []region.GAddr
 
+	// Scratch a promotion round reuses, owned like promote and demote:
+	// planAt is the round's instant and planTask, bound once, runs it on
+	// the quiesced flusher; adds, released and copyBuf are executePlan's
+	// remap batch, demoted locations and copy image.
+	planAt   simnet.Time
+	planTask func()
+	adds     []cache.RemapAdd
+	released []cache.Location
+	copyBuf  []byte
+
 	promotions   metrics.Counter
 	demotions    metrics.Counter
 	digests      metrics.Counter
@@ -184,6 +194,7 @@ func New(ec Config) (*Engine, error) {
 	}
 
 	e.localIO = localCopyIO{e: e}
+	e.planTask = func() { e.executePlan(e.planAt) }
 
 	if e.pool, err = alloc.NewSharded(cfg.NVMBytes); err != nil {
 		return nil, err
@@ -635,7 +646,9 @@ func (e *Engine) readPeerCopy(at simnet.Time, addr region.GAddr, buf []byte) (si
 // unreachable or stale peer. The sketch is told, so the planner's
 // resident set keeps matching the remap table.
 func (e *Engine) demoteCopy(base region.GAddr) {
-	if e.dropCopies([]region.GAddr{base}) {
+	bases := [1]region.GAddr{base}
+	var released [1]cache.Location
+	if len(e.dropCopies(bases[:], released[:0])) > 0 {
 		e.mu.Lock()
 		e.sketch.ClearResident(base)
 		e.mu.Unlock()
@@ -768,11 +781,12 @@ func (e *Engine) RegisterTelemetry(reg *telemetry.Registry, labels ...telemetry.
 	reg.GaugeFunc("gengar_server_remap_epoch", "remap table epoch", func() int64 {
 		return int64(e.remap.Epoch())
 	}, labels...)
-	// Per-shard allocator occupancy: one gauge per (pool, shard), so a
+	// Per-shard NVM allocator occupancy: one gauge per shard, so a
 	// skewed shard shows up as imbalance rather than vanishing into the
-	// pool-wide total. Shard labels are bound once at registration.
+	// pool-wide total. Shard labels are bound once at registration. (The
+	// DRAM buffer arena is one granule allocator, not sharded; its
+	// occupancy is gengar_server_buffer_used_bytes.)
 	registerShardGauges(reg, "nvm", e.pool, labels)
-	registerShardGauges(reg, "dram", e.bufp.Allocator(), labels)
 	e.flusher.RegisterTelemetry(reg, labels...)
 }
 

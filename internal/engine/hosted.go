@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"gengar/internal/alloc"
 	"gengar/internal/cache"
 	"gengar/internal/simnet"
 )
@@ -29,7 +28,7 @@ type hostedCopy struct {
 type hostedTable struct {
 	mu    sync.Mutex // guards m and bytes
 	m     map[int64]hostedCopy
-	bytes int64 // arena footprint (header + data, block-rounded)
+	bytes int64 // arena footprint (cache.CopyFootprint of each copy)
 }
 
 // HostCopy reserves arena space for a peer's copy of size data bytes
@@ -42,7 +41,7 @@ func (e *Engine) HostCopy(gen uint64, size int64) (int64, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("engine %s: host copy of %d bytes", e.name, size)
 	}
-	off, err := e.bufp.Place(size + cache.CopyHeaderBytes)
+	off, err := e.bufp.Place(cache.CopyFootprint(size))
 	if err != nil {
 		return 0, err
 	}
@@ -51,7 +50,7 @@ func (e *Engine) HostCopy(gen uint64, size int64) (int64, error) {
 		e.hosted.m = make(map[int64]hostedCopy)
 	}
 	e.hosted.m[off] = hostedCopy{gen: gen, size: size}
-	e.hosted.bytes += alloc.BlockSize(size + cache.CopyHeaderBytes)
+	e.hosted.bytes += cache.CopyFootprint(size)
 	e.hosted.mu.Unlock()
 	return off, nil
 }
@@ -125,7 +124,7 @@ func (e *Engine) HostedRelease(off int64, gen uint64) error {
 	hc, ok := e.hosted.m[off]
 	if ok && hc.gen == gen {
 		delete(e.hosted.m, off)
-		e.hosted.bytes -= alloc.BlockSize(hc.size + cache.CopyHeaderBytes)
+		e.hosted.bytes -= cache.CopyFootprint(hc.size)
 	}
 	e.hosted.mu.Unlock()
 	if !ok || hc.gen != gen {

@@ -202,7 +202,7 @@ func (p *LocalPlacer) Stamp() uint64 {
 
 // PlaceCopy reserves local arena space and stamps a fresh generation.
 func (p *LocalPlacer) PlaceCopy(size int64) (cache.Location, error) {
-	off, err := p.e.bufp.Place(size + cache.CopyHeaderBytes)
+	off, err := p.e.bufp.Place(cache.CopyFootprint(size))
 	if err != nil {
 		return cache.Location{}, err
 	}

@@ -2,8 +2,8 @@ package engine
 
 import (
 	"encoding/binary"
+	"slices"
 
-	"gengar/internal/alloc"
 	"gengar/internal/cache"
 	"gengar/internal/region"
 	"gengar/internal/simnet"
@@ -56,61 +56,71 @@ func (e *Engine) MaybePlan(at simnet.Time) {
 	e.promote, e.demote = pol.Rebalance(e.sketch, e.CopyFootprint, e.promote[:0], e.demote[:0])
 	e.mu.Unlock()
 	if len(e.promote)+len(e.demote) > 0 {
-		// Best-effort: if the flusher is closing, skip the round.
-		_ = e.flusher.Submit(func() { e.executePlan(at) })
+		// Best-effort: if the flusher is closing, skip the round. The
+		// task is bound once in New and reads the instant from planAt,
+		// which this round owns like promote and demote.
+		e.planAt = at
+		_ = e.flusher.Submit(e.planTask)
 	}
 }
 
 // CopyFootprint returns the DRAM arena bytes a promoted copy of the
-// object actually consumes: generation header plus data, rounded to the
-// buddy allocator's block size. Budgeting the footprint rather than the
-// object size keeps plans honest — otherwise the planner overcommits the
-// arena ~2x (a power-of-two object plus its 8-byte header rounds up to
-// the next block) and promotion/demotion thrashes at the budget edge.
+// object actually consumes: its 16-byte header plus data, rounded to the
+// arena's 64-byte granules (cache.CopyFootprint). Budgeting the
+// footprint rather than the object size keeps plans honest: a plan that
+// fits the budget fits the arena, so promotion and demotion do not
+// thrash at its edge.
 func (e *Engine) CopyFootprint(base region.GAddr) int64 {
-	size := e.objIdx.sizeOf(base)
-	if size <= 0 {
-		return 0
-	}
-	return alloc.BlockSize(size + cache.CopyHeaderBytes)
+	return cache.CopyFootprint(e.objIdx.sizeOf(base))
 }
 
 // executePlan carries out the round MaybePlan computed into e.promote
 // and e.demote, at instant at. It must only run on the flusher
 // goroutine. Demotions go first, so that the arena space they release
 // is there for the round's promotions; a round that does both bumps the
-// remap epoch twice.
+// remap epoch twice. Its batches and the copy image reuse engine
+// scratch (rounds are exclusive), so a swap allocates only the remap
+// entries it publishes.
+//
+//gengar:hotpath
 func (e *Engine) executePlan(at simnet.Time) {
-	e.dropCopies(e.demote)
+	e.released = e.dropCopies(e.demote, e.released[:0])
 	if len(e.promote) == 0 {
 		return
 	}
-	add := make(map[region.GAddr]cache.Location, len(e.promote))
+	e.adds = e.adds[:0]
 	for _, base := range e.promote {
 		if loc, ok := e.installCopy(at, base); ok {
-			add[base] = loc
+			e.adds = append(e.adds, cache.RemapAdd{Addr: base, Loc: loc})
 			e.promotions.Inc()
 		}
 	}
-	e.remap.Apply(add, nil)
-	if len(add) == len(e.promote) {
+	e.remap.Apply(e.adds, nil, nil)
+	if len(e.adds) == len(e.promote) {
 		return
 	}
 	// The sketch already counts every planned promotion as resident;
-	// take back the ones that did not happen.
+	// take back the ones that did not happen. e.adds lists the ones that
+	// did, in promote order.
 	e.mu.Lock()
+	done := e.adds
 	for _, base := range e.promote {
-		if _, ok := add[base]; !ok {
-			e.sketch.ClearResident(base)
+		if len(done) > 0 && done[0].Addr == base {
+			done = done[1:]
+			continue
 		}
+		e.sketch.ClearResident(base)
 	}
 	e.mu.Unlock()
 }
 
 // installCopy places a DRAM copy of the object at base and fills it
-// from the authoritative NVM data. It reports false when the object
-// was freed since the round was computed, the arena is full, or the
-// copy could not be written; the next round tries again.
+// from the authoritative NVM data, building the copy image in the
+// engine's scratch buffer. It reports false when the object was freed
+// since the round was computed, the arena is full, or the copy could
+// not be written; the next round tries again.
+//
+//gengar:hotpath
 func (e *Engine) installCopy(at simnet.Time, base region.GAddr) (cache.Location, bool) {
 	size := e.objIdx.sizeOf(base)
 	if size <= 0 {
@@ -120,8 +130,11 @@ func (e *Engine) installCopy(at simnet.Time, base region.GAddr) (cache.Location,
 	if err != nil {
 		return cache.Location{}, false
 	}
-	payload := make([]byte, cache.CopyHeaderBytes+size)
-	binary.BigEndian.PutUint64(payload, loc.Gen)
+	n := int(cache.CopyHeaderBytes + size)
+	e.copyBuf = slices.Grow(e.copyBuf[:0], n)
+	payload := e.copyBuf[:n]
+	binary.BigEndian.PutUint64(payload[cache.CopyGenOff:], loc.Gen)
+	binary.BigEndian.PutUint64(payload[cache.CopySeqOff:], 0)
 	tRead, err := e.nvm.Read(at, base.Offset(), payload[cache.CopyHeaderBytes:])
 	if err == nil {
 		_, err = e.placer.InstallCopy(tRead, loc, payload)
@@ -134,16 +147,19 @@ func (e *Engine) installCopy(at simnet.Time, base region.GAddr) (cache.Location,
 }
 
 // dropCopies removes the remap entries of bases and releases whatever
-// locations the table still held for them. Apply serializes concurrent
-// callers, so exactly one receives (and releases) each location. It
-// reports whether any of bases was promoted.
-func (e *Engine) dropCopies(bases []region.GAddr) bool {
-	released := e.remap.Apply(nil, bases)
-	for _, loc := range released {
+// locations the table still held for them, which it appends to released
+// and returns. Apply serializes concurrent callers, so exactly one
+// receives (and releases) each location. A promotion round passes the
+// engine's scratch; any other caller runs beside a round and passes a
+// buffer of its own.
+func (e *Engine) dropCopies(bases []region.GAddr, released []cache.Location) []cache.Location {
+	n := len(released)
+	released = e.remap.Apply(nil, bases, released)
+	for _, loc := range released[n:] {
 		e.releaseCopy(loc)
 		e.demotions.Inc()
 	}
-	return len(released) > 0
+	return released
 }
 
 // writeCopy routes a copy update through the placer (which knows whether

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gengar/internal/cache"
 	"gengar/internal/config"
 	"gengar/internal/hotness"
 	"gengar/internal/region"
@@ -15,21 +16,22 @@ import (
 )
 
 // newPlanEngine builds an engine with a local placer, a sketch of k
-// counters and a DRAM arena that holds `copies` promoted 1 KiB objects
-// (a 1 KiB copy and its header take a 2 KiB block), with n live 1 KiB
-// objects each stamped with its index.
+// counters and a plan budget of exactly `copies` promoted 1 KiB objects
+// (copyBudget), with n live 1 KiB objects each stamped with its index.
 func newPlanEngine(tb testing.TB, k int, copies int64, n int) (*Engine, []region.GAddr) {
 	tb.Helper()
 	cfg := config.Default()
 	cfg.Servers = 1
 	cfg.NVMBytes = 256 << 20
-	cfg.DRAMBufferBytes = copies * 2048
+	budget, arena := copyBudget(int(copies))
+	cfg.DRAMBufferBytes = arena
 	cfg.Hotness.SketchK = k
 	eng, err := New(Config{ID: 1, Name: "eng-plan", Cluster: cfg})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(eng.Close)
+	eng.policy.BudgetBytes = budget
 	eng.SetPlacer(NewLocalPlacer(eng))
 	addrs := make([]region.GAddr, n)
 	for i := range addrs {
@@ -125,11 +127,11 @@ func TestFreeClearsResidency(t *testing.T) {
 	if err := eng.Free(addrs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if n, st := eng.sketch.Residents(), eng.Stats(); n != 1 || st.Promoted != 1 || st.BufferUsed != 2048 {
+	if n, st := eng.sketch.Residents(), eng.Stats(); n != 1 || st.Promoted != 1 || st.BufferUsed != cache.CopyFootprint(1024) {
 		t.Fatalf("after free: %d residents, %+v", n, st)
 	}
-	// The arena holds two copies: the third object gets the freed slot
-	// without displacing the survivor.
+	// The budget holds two copies: the third object gets the freed
+	// bytes without displacing the survivor.
 	for i := 0; i < 4; i++ {
 		eng.Digest(clk.next(), []hotness.Entry{{Addr: addrs[2], Reads: 8}, {Addr: addrs[1], Reads: 8}})
 	}

@@ -129,6 +129,12 @@ type Engine struct {
 	inflight sync.WaitGroup
 	//gengar:lint-ignore lock-across-blocking Submit's quiesce holds taskMu across worker handshakes by design: it serializes exclusive tasks, and concurrent Submits must wait for the whole quiesce anyway
 	taskMu sync.Mutex // serializes quiescent tasks
+	// Submit's quiesce, made once and reused under taskMu: park is the
+	// task every worker runs, parked counts the workers that reached it,
+	// and resume (unbuffered) lets them go one send each.
+	park   func()
+	parked sync.WaitGroup
+	resume chan struct{}
 
 	staged    metrics.Counter
 	flushed   metrics.Counter
@@ -160,6 +166,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cpu:        cfg.CPU,
 		cacheApply: cfg.CacheApply,
 		workers:    make([]chan workItem, flushWorkers),
+		resume:     make(chan struct{}),
+	}
+	e.park = func() {
+		e.parked.Done()
+		<-e.resume
 	}
 	for i := range e.workers {
 		// Shallow queues keep the flush workers tightly coupled to their
@@ -354,7 +365,11 @@ func (e *Engine) enqueue(rec record) error {
 // Submit quiesces every flush worker, runs task exclusively, and resumes
 // them. Gengar servers run promotion/demotion plans this way, so a
 // cache-copy install never races a concurrent write-through of the same
-// object. Submit returns after the task has run.
+// object. Submit returns after the task has run. The quiesce itself
+// allocates nothing: each worker runs the engine's bound park task,
+// which checks in on parked and waits for one send on resume.
+//
+//gengar:hotpath
 func (e *Engine) Submit(task func()) error {
 	e.taskMu.Lock()
 	defer e.taskMu.Unlock()
@@ -368,19 +383,16 @@ func (e *Engine) Submit(task func()) error {
 	e.inflight.Add(1)
 	e.mu.Unlock()
 
-	var reached sync.WaitGroup
-	release := make(chan struct{})
-	reached.Add(len(workers))
+	e.parked.Add(len(workers))
 	for _, ch := range workers {
-		ch <- workItem{task: func() {
-			reached.Done()
-			<-release
-		}}
+		ch <- workItem{task: e.park}
 	}
 	e.inflight.Done()
-	reached.Wait()
+	e.parked.Wait()
 	task()
-	close(release)
+	for range workers {
+		e.resume <- struct{}{}
+	}
 	return nil
 }
 

@@ -78,3 +78,24 @@ func TestEnqueueAllocFree(t *testing.T) {
 		t.Fatalf("FreeSlots = %d after every record was copied out, want 8", got)
 	}
 }
+
+// TestSubmitAllocFree pins a quiesce at zero allocations: the park task
+// each worker runs, the wait group counting them in and the channel that
+// resumes them are the engine's, made once. Race-mode coverage of Submit
+// is in coalesce_test.go and proxy_test.go.
+func TestSubmitAllocFree(t *testing.T) {
+	h := newHarness(t, 8, 256, nil)
+	var ran int
+	task := func() { ran++ }
+	submit := func() {
+		if err := h.engine.Submit(task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, submit); allocs != 0 {
+		t.Fatalf("Submit: %v allocs per quiesce, want 0", allocs)
+	}
+	if ran != 201 {
+		t.Fatalf("task ran %d times in 201 Submits", ran)
+	}
+}

@@ -108,7 +108,7 @@ func TestPlanPromotesHotObject(t *testing.T) {
 
 func TestPlanDemotesWhenDisplaced(t *testing.T) {
 	cfg := planCfg()
-	cfg.DRAMBufferBytes = 1 << 10 // fits one 512 B copy (rounded to 1 KiB)
+	cfg.DRAMBufferBytes = 1 << 10 // fits one 512 B copy (576 B footprint), not two
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestPlanDemotesWhenDisplaced(t *testing.T) {
 	for _, srv := range c.Registry().Servers() {
 		used += srv.bufp.UsedBytes()
 	}
-	if used != 1<<10 {
+	if used != cache.CopyFootprint(512) {
 		t.Fatalf("cluster buffer bytes %d after displacement (leak?)", used)
 	}
 }
@@ -304,9 +304,9 @@ func TestCopyFootprint(t *testing.T) {
 	s, _ := c.Registry().ByID(1)
 	ctl := dial(t, c, s, "client-x")
 	addr := mallocOn(t, ctl, 1024)
-	// 1024 data + 8 header rounds to 2048 in the buddy arena.
-	if got := s.copyFootprint(addr); got != 2048 {
-		t.Fatalf("copyFootprint = %d, want 2048", got)
+	// 16 header + 1024 data, in whole 64-byte granules: 1088.
+	if got, want := s.copyFootprint(addr), cache.CopyFootprint(1024); got != want || want != 1088 {
+		t.Fatalf("copyFootprint = %d, want %d (1088)", got, want)
 	}
 	if got := s.copyFootprint(region.MustGAddr(1, 1<<20)); got != 0 {
 		t.Fatalf("phantom footprint = %d", got)

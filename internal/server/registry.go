@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -112,25 +111,34 @@ func (r *Registry) ConnectMesh() error {
 
 // place reserves buffer space for a copy (header + size bytes) on the
 // server with the most free arena space, preferring the home server on
-// ties so single-server deployments stay local.
+// ties so single-server deployments stay local. If that arena cannot
+// fit the copy in one run, the others are tried in join order.
 func (r *Registry) place(home *Server, size int64) (*Server, int64, error) {
+	// Join only appends, so the slice header read under the lock stays
+	// a consistent view of the servers joined so far.
 	r.mu.RLock()
-	cands := make([]*Server, len(r.servers))
-	copy(cands, r.servers)
+	servers := r.servers
 	r.mu.RUnlock()
 
-	sort.SliceStable(cands, func(i, j int) bool {
-		fi := cands[i].bufp.Capacity() - cands[i].bufp.UsedBytes()
-		fj := cands[j].bufp.Capacity() - cands[j].bufp.UsedBytes()
-		if fi != fj {
-			return fi > fj
+	var best *Server
+	var bestFree int64
+	for _, s := range servers {
+		free := s.bufp.Capacity() - s.bufp.UsedBytes()
+		if best == nil || free > bestFree || (free == bestFree && s == home) {
+			best, bestFree = s, free
 		}
-		return cands[i] == home
-	})
-	need := size + cache.CopyHeaderBytes
-	for _, s := range cands {
-		off, err := s.bufp.Place(need)
-		if err == nil {
+	}
+	need := cache.CopyFootprint(size)
+	if best != nil {
+		if off, err := best.bufp.Place(need); err == nil {
+			return best, off, nil
+		}
+	}
+	for _, s := range servers {
+		if s == best {
+			continue
+		}
+		if off, err := s.bufp.Place(need); err == nil {
 			return s, off, nil
 		}
 	}
@@ -145,6 +153,12 @@ func (r *Registry) release(loc cache.Location) {
 	if s == nil {
 		return
 	}
+	// Zero the generation first: stamp zero is never minted, so a
+	// location still naming this copy — a client's stale view — fails its
+	// check from here on, whether or not the space is reused. (An
+	// out-of-range location is bogus; Release rejects it too.)
+	var zero [8]byte
+	_ = s.cacheDev.WriteWordsRaw(loc.Off+cache.CopyGenOff, zero[:])
 	// A release failure means the location was already released — a
 	// bookkeeping bug upstream, but never fatal to the pool.
 	_ = s.bufp.Release(loc.Off)

@@ -3,7 +3,6 @@ package tcpnet
 import (
 	"fmt"
 
-	"gengar/internal/alloc"
 	"gengar/internal/cache"
 	"gengar/internal/engine"
 	"gengar/internal/simnet"
@@ -44,7 +43,7 @@ func (p *peerPlacer) PlaceCopy(size int64) (cache.Location, error) {
 		if err != nil {
 			continue // down, full, or mid-dial: try the next peer
 		}
-		l.spilled.Add(alloc.BlockSize(size + cache.CopyHeaderBytes))
+		l.spilled.Add(cache.CopyFootprint(size))
 		return cache.Location{Node: l.nodeName(), Off: off, Size: size, Gen: gen}, nil
 	}
 	return cache.Location{}, fmt.Errorf("tcpnet: no arena space locally or on any live peer: %w", localErr)
@@ -126,6 +125,6 @@ func (p *peerPlacer) Release(loc cache.Location) {
 	if err != nil {
 		return
 	}
-	l.spilled.Add(-alloc.BlockSize(loc.Size + cache.CopyHeaderBytes))
+	l.spilled.Add(-cache.CopyFootprint(loc.Size))
 	_ = l.releaseCopy(loc.Off, loc.Gen)
 }
